@@ -17,7 +17,35 @@ func newHierarchy(t *testing.T, mshrs int) (*Hierarchy, *memctrl.Controller) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.SetLoadSink(&funcSink{fns: map[int64]func(int64){}})
 	return h, ctrl
+}
+
+// funcSink routes each load's completion to the callback registered for
+// its tag, and fails loudly on a tag completed twice or never issued.
+type funcSink struct {
+	next int64
+	fns  map[int64]func(at int64)
+}
+
+func (s *funcSink) LoadDone(tag, at int64) {
+	fn, ok := s.fns[tag]
+	if !ok {
+		panic("cache test: completion for an unknown or already completed load tag")
+	}
+	delete(s.fns, tag)
+	fn(at)
+}
+
+// load issues a tagged load through h whose completion runs done.
+func load(h *Hierarchy, now int64, addr uint64, done func(at int64)) (accepted, l2Miss bool) {
+	s := h.sink.(*funcSink)
+	s.next++
+	accepted, l2Miss = h.Load(now, addr, s.next)
+	if accepted {
+		s.fns[s.next] = done
+	}
+	return accepted, l2Miss
 }
 
 // step advances the controller and hierarchy together.
@@ -41,7 +69,7 @@ func TestHierarchyValidation(t *testing.T) {
 func TestMissGoesToDRAMThenHits(t *testing.T) {
 	h, ctrl := newHierarchy(t, 8)
 	var missAt, hitAt int64 = -1, -1
-	accepted, l2miss := h.Load(0, 42, func(at int64) { missAt = at })
+	accepted, l2miss := load(h, 0, 42, func(at int64) { missAt = at })
 	if !accepted || !l2miss {
 		t.Fatalf("cold load: accepted=%v l2miss=%v, want true/true", accepted, l2miss)
 	}
@@ -53,7 +81,7 @@ func TestMissGoesToDRAMThenHits(t *testing.T) {
 		t.Errorf("DRAM loads = %d, want 1", h.DRAMLoads())
 	}
 
-	accepted, l2miss = h.Load(2000, 42, func(at int64) { hitAt = at })
+	accepted, l2miss = load(h, 2000, 42, func(at int64) { hitAt = at })
 	if !accepted || l2miss {
 		t.Fatalf("warm load should be a cache hit, got l2miss=%v", l2miss)
 	}
@@ -68,17 +96,17 @@ func TestL2HitAfterL1Eviction(t *testing.T) {
 	// Fill line 0, then sweep enough same-set lines through L1 to
 	// evict it from L1 while it stays in the larger L2.
 	done := 0
-	h.Load(0, 0, func(int64) { done++ })
+	load(h, 0, 0, func(int64) { done++ })
 	step(h, ctrl, 0, 2000)
 
 	l1sets := int64(L1Config().SizeBytes / L1Config().LineBytes / L1Config().Ways)
 	for i := int64(1); i <= int64(L1Config().Ways); i++ {
-		h.Load(2000, uint64(i*l1sets), func(int64) { done++ })
+		load(h, 2000, uint64(i*l1sets), func(int64) { done++ })
 		step(h, ctrl, 2000, 2000+1)
 		step(h, ctrl, 2001, 4000)
 	}
 	var hitAt int64 = -1
-	acc, l2miss := h.Load(5000, 0, func(at int64) { hitAt = at })
+	acc, l2miss := load(h, 5000, 0, func(at int64) { hitAt = at })
 	if !acc {
 		t.Fatal("refused")
 	}
@@ -94,8 +122,8 @@ func TestL2HitAfterL1Eviction(t *testing.T) {
 func TestMSHRMerging(t *testing.T) {
 	h, ctrl := newHierarchy(t, 8)
 	completions := 0
-	h.Load(0, 7, func(int64) { completions++ })
-	h.Load(0, 7, func(int64) { completions++ }) // same line: merged
+	load(h, 0, 7, func(int64) { completions++ })
+	load(h, 0, 7, func(int64) { completions++ }) // same line: merged
 	if h.OutstandingMisses() != 1 {
 		t.Fatalf("outstanding = %d, want 1 (merged)", h.OutstandingMisses())
 	}
@@ -110,9 +138,9 @@ func TestMSHRMerging(t *testing.T) {
 
 func TestMSHRLimit(t *testing.T) {
 	h, _ := newHierarchy(t, 2)
-	ok1, _ := h.Load(0, 1, func(int64) {})
-	ok2, _ := h.Load(0, 2, func(int64) {})
-	ok3, _ := h.Load(0, 3, func(int64) {})
+	ok1, _ := load(h, 0, 1, func(int64) {})
+	ok2, _ := load(h, 0, 2, func(int64) {})
+	ok3, _ := load(h, 0, 3, func(int64) {})
 	if !ok1 || !ok2 {
 		t.Fatal("first two misses must be accepted")
 	}
@@ -129,7 +157,7 @@ func TestStoreMissAllocatesWithoutBlocking(t *testing.T) {
 	step(h, ctrl, 0, 2000)
 	// The line must now be resident and dirty: evicting it later
 	// produces a writeback.
-	if _, l2miss := h.Load(2500, 99, func(int64) {}); l2miss {
+	if _, l2miss := load(h, 2500, 99, func(int64) {}); l2miss {
 		t.Error("store-allocated line should hit")
 	}
 }
@@ -172,6 +200,6 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 }
 
 func try(h *Hierarchy, now int64, addr uint64) bool {
-	acc, _ := h.Load(now, addr, func(int64) {})
+	acc, _ := load(h, now, addr, func(int64) {})
 	return acc
 }

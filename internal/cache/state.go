@@ -7,13 +7,15 @@ import (
 
 // This file implements checkpoint support for the cache hierarchy
 // (DESIGN.md §17). Cache content (tags, dirty bits, LRU timestamps) is
-// serialized verbatim. MSHR waiter callbacks and pending hit
-// completions are core closures and cannot be serialized; each carries
-// the issue tag of the window entry it belongs to (cpu.LoadTagger), so
-// restore re-creates the closures by asking the restored core for a
-// fresh callback per tag. Slice orders are preserved exactly: Tick
-// delivers completions by slice scan with swap-removal and fill fires
-// waiters in append order, so order is part of the schedule.
+// serialized verbatim. MSHR waiters and pending hit completions are
+// the issue tags of the loads they complete — exactly what the running
+// hierarchy stores — so they serialize as they are; restore only checks
+// each tag against the restored core's in-flight loads. MSHR slot
+// numbers are not serialized: a slot is only the tag of its DRAM read,
+// which restore re-derives from the line address (MissTag). Slice
+// orders are preserved exactly: Tick delivers completions by slice scan
+// with swap-removal and a fill completes waiters in append order, so
+// order is part of the schedule.
 
 // LineSnapshot is the serialized state of one cache line.
 type LineSnapshot struct {
@@ -84,8 +86,8 @@ type CompletionSnapshot struct {
 type HierarchyState struct {
 	L1 CacheState `json:"l1"`
 	L2 CacheState `json:"l2"`
-	// Outstanding is sorted by line address (map order is not part of
-	// the schedule; every access is keyed).
+	// Outstanding is sorted by line address (slot order is not part of
+	// the schedule; every access is keyed by line).
 	Outstanding []MSHRSnapshot `json:"outstanding"`
 	// Completions preserves the pending-completion slice order, which
 	// Tick's scan-and-swap delivery makes schedule-relevant.
@@ -102,9 +104,10 @@ func (h *Hierarchy) SaveState() HierarchyState {
 		PendingWB: append([]uint64(nil), h.pendingWB...),
 		DRAMLoads: h.dramLoads,
 	}
-	for addr, m := range h.outstanding {
+	for _, s := range h.live {
+		m := &h.mshr[s]
 		st.Outstanding = append(st.Outstanding, MSHRSnapshot{
-			LineAddr:   addr,
+			LineAddr:   m.line,
 			Write:      m.write,
 			WaiterTags: append([]int64(nil), m.tags...),
 		})
@@ -119,58 +122,54 @@ func (h *Hierarchy) SaveState() HierarchyState {
 }
 
 // RestoreState overwrites the hierarchy's mutable state with a
-// snapshot. resolve maps an issue tag back to a fresh completion
-// callback on the restored core (cpu.Core.InFlightCallback); it is
-// invoked for every MSHR waiter and pending completion.
-func (h *Hierarchy) RestoreState(st HierarchyState, resolve func(tag int64) (func(now int64), error)) error {
+// snapshot. check validates every MSHR waiter and pending completion
+// tag against the restored core (cpu.Core.CheckInFlight), so a
+// snapshot that names a load the core does not have in flight fails
+// here rather than at its completion.
+func (h *Hierarchy) RestoreState(st HierarchyState, check func(tag int64) error) error {
 	if err := h.l1.RestoreState(st.L1); err != nil {
 		return fmt.Errorf("cache: L1: %w", err)
 	}
 	if err := h.l2.RestoreState(st.L2); err != nil {
 		return fmt.Errorf("cache: L2: %w", err)
 	}
-	if len(st.Outstanding) > h.mshrs {
-		return fmt.Errorf("cache: snapshot has %d outstanding misses, hierarchy allows %d", len(st.Outstanding), h.mshrs)
+	if len(st.Outstanding) > len(h.mshr) {
+		return fmt.Errorf("cache: snapshot has %d outstanding misses, hierarchy allows %d", len(st.Outstanding), len(h.mshr))
 	}
-	outstanding := make(map[uint64]*mshr, len(st.Outstanding))
+	h.resetMSHRs()
 	for _, ms := range st.Outstanding {
-		if _, dup := outstanding[ms.LineAddr]; dup {
+		if h.lookup(ms.LineAddr) >= 0 {
 			return fmt.Errorf("cache: snapshot has duplicate MSHR for line %#x", ms.LineAddr)
 		}
-		m := &mshr{write: ms.Write}
 		for _, tag := range ms.WaiterTags {
-			done, err := resolve(tag)
-			if err != nil {
+			if err := check(tag); err != nil {
 				return fmt.Errorf("cache: MSHR waiter for line %#x: %w", ms.LineAddr, err)
 			}
-			m.waiters = append(m.waiters, done)
-			m.tags = append(m.tags, tag)
 		}
-		outstanding[ms.LineAddr] = m
+		m := h.takeSlot(ms.LineAddr, ms.Write)
+		m.tags = append(m.tags, ms.WaiterTags...)
 	}
 	completions := make([]completion, 0, len(st.Completions))
 	for _, cs := range st.Completions {
-		done, err := resolve(cs.Tag)
-		if err != nil {
+		if err := check(cs.Tag); err != nil {
 			return fmt.Errorf("cache: pending completion: %w", err)
 		}
-		completions = append(completions, completion{at: cs.At, done: done, tag: cs.Tag})
+		completions = append(completions, completion{at: cs.At, tag: cs.Tag})
 	}
-	h.outstanding = outstanding
 	h.completions = completions
 	h.pendingWB = append([]uint64(nil), st.PendingWB...)
 	h.dramLoads = st.DRAMLoads
-	h.pendingTag = 0
 	return nil
 }
 
-// FillCallback returns a fresh controller completion callback for the
-// in-flight fill of lineAddr, behaviorally identical to the one miss()
-// registered in the original run. It errors when the hierarchy has no
-// outstanding miss for that line — a checkpoint/component mismatch.
-func (h *Hierarchy) FillCallback(lineAddr uint64) (func(at int64), error) {
-	if _, ok := h.outstanding[lineAddr]; !ok {
-		return nil, fmt.Errorf("cache: thread %d has no outstanding miss for line %#x", h.thread, lineAddr)
+// MissTag returns the completion tag of the in-flight DRAM fill for
+// lineAddr — the tag the hierarchy's read request carries. It errors
+// when the hierarchy has no outstanding miss for that line, a
+// checkpoint/component mismatch.
+func (h *Hierarchy) MissTag(lineAddr uint64) (int64, error) {
+	s := h.lookup(lineAddr)
+	if s < 0 {
+		return 0, fmt.Errorf("cache: thread %d has no outstanding miss for line %#x", h.thread, lineAddr)
 	}
-	return h.fillCallback(lineAddr), nil
+	return int64(s), nil
 }

@@ -40,7 +40,7 @@ type fixture struct {
 	tshared []int64
 }
 
-func newFixture(t *testing.T, threads int, cfg Config) *fixture {
+func newFixture(t testing.TB, threads int, cfg Config) *fixture {
 	t.Helper()
 	f := &fixture{view: newFakeView(threads), tshared: make([]int64, threads)}
 	geom := dram.DefaultGeometry(1)

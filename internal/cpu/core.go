@@ -13,7 +13,11 @@
 // one thread, hence bank-level parallelism).
 package cpu
 
-import "stfm/internal/trace"
+import (
+	"fmt"
+
+	"stfm/internal/trace"
+)
 
 // Horizon is the "no self-scheduled event" sentinel a core returns from
 // Tick when it cannot make progress on its own: every state change it
@@ -22,27 +26,32 @@ import "stfm/internal/trace"
 // bounds the simulation jump. The value matches dram.Horizon.
 const Horizon = int64(1) << 62
 
-// LoadTagger is an optional interface a Memory implementation exposes
-// when it needs to know which window entry an incoming Load belongs to
-// (checkpoint support): the core calls TagNextLoad with the issue
-// sequence number it is about to assign, immediately before Load. The
-// tag travels with the access through the port's internal pending
-// structures so a restored port can be re-linked to the restored core's
-// window entries. Implemented by cache.Hierarchy; the direct DRAM port
-// does not need it (its requests are matched by issue order instead).
-type LoadTagger interface {
-	TagNextLoad(seq int64)
+// LoadSink receives load completions from a memory port. The core is
+// the only production sink; it hands itself to its port once, in New.
+type LoadSink interface {
+	// LoadDone reports that the load issued with the given tag has its
+	// data at cycle at. It runs exactly once per accepted Load.
+	LoadDone(tag, at int64)
 }
 
 // Memory is the port a core uses to access its memory hierarchy. It is
 // implemented by cache.Hierarchy (cache mode) and by the simulation
-// engine's direct DRAM port (miss-stream mode).
+// engine's direct DRAM port (miss-stream mode). Completions are indexed,
+// not closures: the core tags every load with its issue sequence number
+// and the port hands the tag back through the bound LoadSink, so issuing
+// a load allocates nothing and a checkpoint can name every pending
+// completion by its tag (DESIGN.md §14, §17).
 type Memory interface {
-	// Load issues a cache-line read. If accepted, done runs exactly
-	// once when the data is available; l2Miss reports whether the
-	// access goes to DRAM (the stall-accounting classification). A
-	// false accepted means resources are exhausted; retry next cycle.
-	Load(now int64, lineAddr uint64, done func(now int64)) (accepted, l2Miss bool)
+	// SetLoadSink binds the sink every accepted Load completes into.
+	// New calls it exactly once, before the first Load.
+	SetLoadSink(sink LoadSink)
+	// Load issues a cache-line read on behalf of the load with issue
+	// sequence number tag. If accepted, the sink's LoadDone(tag, at)
+	// runs exactly once when the data is available; l2Miss reports
+	// whether the access goes to DRAM (the stall-accounting
+	// classification). A false accepted means resources are exhausted;
+	// retry next cycle.
+	Load(now int64, lineAddr uint64, tag int64) (accepted, l2Miss bool)
 	// Store submits non-blocking write traffic. A false return means
 	// the write path is backed up; retry next cycle.
 	Store(now int64, lineAddr uint64) bool
@@ -67,41 +76,69 @@ type winEntry struct {
 	memDone bool
 	l2Miss  bool
 
-	// Deferred-issue state for dependent loads.
+	// Deferred-issue state for dependent loads (the flags sit with the
+	// ones above so the ring's value entries pack densely).
 	issued bool
+	dep    bool
 	addr   uint64
 	chain  int
-	dep    bool
 
 	// seq is the core-local issue sequence number assigned when the
-	// load was accepted by the memory port. Checkpoint restore uses it
-	// to re-associate in-flight memory requests with their window
-	// entries (DESIGN.md §17); it has no effect on scheduling.
+	// load was accepted by the memory port. It is the load's completion
+	// tag (Memory.Load) and how checkpoint restore re-associates
+	// in-flight memory requests with their window entries (DESIGN.md
+	// §17); it has no effect on scheduling.
 	seq int64
 }
+
+// inFlight reports whether e is a load that issued and has not
+// completed.
+func (e *winEntry) inFlight() bool { return e.hasMem && e.issued && !e.memDone }
 
 // Core is one trace-driven processor core.
 type Core struct {
 	id     int
 	cfg    Config
 	mem    Memory
-	tagger LoadTagger // mem's optional LoadTagger side, asserted once
 	stream trace.Stream
 
-	window    []*winEntry
+	// win is the instruction window, a fixed ring of value entries: the
+	// n live entries start at ring index head, oldest first. Every
+	// entry holds at least one uncommitted instruction except possibly
+	// the head (a compute-only entry drained to zero in the same cycle
+	// the commit budget ran out), and a new entry is only opened while
+	// occupancy < WindowSize, so n never exceeds WindowSize+1 — the
+	// ring's size. Entries never move while live, so a ring index names
+	// an entry for its whole lifetime.
+	win       []winEntry
+	head      int
+	n         int
 	occupancy int // instructions currently in the window
 
 	// Fetch state: the access being brought into the window.
 	fetching  bool
 	curAccess trace.Access
-	gapLeft   int64     // compute instructions of curAccess still to fetch
-	tail      *winEntry // open entry accumulating compute instructions
+	gapLeft   int64 // compute instructions of curAccess still to fetch
+	tail      int   // ring index of the open entry accumulating compute, or -1
 
 	streamDone bool
 
-	// unissued holds window entries whose loads are waiting on a
-	// dependence-chain predecessor or on memory-port resources.
-	unissued []*winEntry
+	// unissued holds the ring indices of window entries whose loads are
+	// waiting on a dependence-chain predecessor or on memory-port
+	// resources, in retry order.
+	unissued []int32
+
+	// bySeq resolves a completing load's tag (its issue sequence
+	// number) to its ring index: bySeq[seq % len(bySeq)]. Its size,
+	// 2×WindowSize, is collision-free for in-flight loads. Take the
+	// oldest in-flight load L with seq s. A load issued after L is
+	// either younger than L in program order — then it cannot have
+	// committed past L and is still in the window, so there are fewer
+	// than WindowSize of them — or older, in which case it was already
+	// waiting in the window when L issued: again fewer than WindowSize.
+	// So every in-flight seq lies in [s, s+2×WindowSize), and distinct
+	// in-flight seqs never share a slot. issueLoads asserts it.
+	bySeq []int32
 	// storeBlocked records that the current writeback was rejected by
 	// the memory port this cycle; it can only be accepted again after an
 	// external event, so the core does not self-schedule a retry.
@@ -131,7 +168,8 @@ type Core struct {
 	// next cycle when an external unblock must be polled for (a
 	// resource-rejected load, a back-pressured writeback), and Horizon
 	// when the core is parked — every state change it waits for arrives
-	// through one of its own completion callbacks, which reset nextAt.
+	// through one of its own load completions (LoadDone), which reset
+	// nextAt.
 	// The engine simply skips Ticks on cycles before nextAt; the
 	// bookkeeping those ticks would have performed is applied lazily by
 	// FlushIdle.
@@ -141,8 +179,8 @@ type Core struct {
 	// cycles already reflected in the architected counters; cycles in
 	// [settled, now) of a parked window are accounted in bulk by
 	// FlushIdle using the per-cycle rates recorded at the last Tick.
-	// The rates are frozen at tick time deliberately: a completion
-	// callback firing at cycle T mutates window state before the core's
+	// The rates are frozen at tick time deliberately: a load completion
+	// arriving at cycle T mutates window state before the core's
 	// own Tick at T, but the idle window it terminates ends at T, so the
 	// park-time classification is the correct one for every cycle in it.
 	settled      int64
@@ -156,9 +194,24 @@ func New(id int, cfg Config, mem Memory, stream trace.Stream) *Core {
 	if cfg.Width <= 0 || cfg.WindowSize <= 0 {
 		panic("cpu: Width and WindowSize must be positive")
 	}
-	c := &Core{id: id, cfg: cfg, mem: mem, stream: stream}
-	c.tagger, _ = mem.(LoadTagger)
+	c := &Core{
+		id: id, cfg: cfg, mem: mem, stream: stream,
+		win:      make([]winEntry, cfg.WindowSize+1),
+		tail:     -1,
+		unissued: make([]int32, 0, cfg.WindowSize+1),
+		bySeq:    make([]int32, 2*cfg.WindowSize),
+	}
+	mem.SetLoadSink(c)
 	return c
+}
+
+// ring returns the ring index of window position i (0 = oldest).
+func (c *Core) ring(i int) int {
+	j := c.head + i
+	if j >= len(c.win) {
+		j -= len(c.win)
+	}
+	return j
 }
 
 // ID returns the core's index.
@@ -182,7 +235,7 @@ func (c *Core) Cycles() int64 { return c.cycles }
 func (c *Core) DRAMLoads() int64 { return c.dramLoads }
 
 // Done reports whether the core has drained a finite trace completely.
-func (c *Core) Done() bool { return c.streamDone && len(c.window) == 0 && !c.fetching }
+func (c *Core) Done() bool { return c.streamDone && c.n == 0 && !c.fetching }
 
 // IPC returns committed instructions per cycle so far.
 func (c *Core) IPC() float64 {
@@ -217,7 +270,7 @@ func (c *Core) Tick(now int64) int64 {
 	committed := c.commit()
 	c.issueLoads(now)
 	c.fetch(now)
-	hasWork := len(c.window) > 0 || c.fetching || !c.streamDone
+	hasWork := c.n > 0 || c.fetching || !c.streamDone
 	if committed == 0 {
 		if !hasWork {
 			c.recordIdleRates(false)
@@ -225,8 +278,8 @@ func (c *Core) Tick(now int64) int64 {
 			return Horizon
 		}
 		c.stallAny++
-		if len(c.window) > 0 {
-			head := c.window[0]
+		if c.n > 0 {
+			head := &c.win[c.head]
 			if head.compute == 0 && head.hasMem && !head.memDone && head.l2Miss {
 				// The oldest instruction is an L2 miss that has not
 				// returned: a Tshared stall cycle.
@@ -248,7 +301,7 @@ func (c *Core) Tick(now int64) int64 {
 			// Fully stalled, but an unblock must be polled for: it
 			// arrives as shared-resource back-pressure clearing (a
 			// rejected load or writeback), not as one of this core's
-			// completion callbacks.
+			// load completions.
 			c.nextAt = now + 1
 		}
 	}
@@ -262,13 +315,13 @@ func (c *Core) Tick(now int64) int64 {
 // exists, and a Tshared memory-stall cycle when additionally the oldest
 // instruction is an incomplete L2 miss. That state is invariant while
 // the core is parked — it changes only through the core's own activity
-// or a completion callback, and a callback firing at cycle T wakes the
+// or a load completion, and a completion arriving at cycle T wakes the
 // core for a Tick at T, ending the idle window there.
 func (c *Core) recordIdleRates(hasWork bool) {
 	c.idleHasWork = hasWork
 	c.idleMemStall = false
-	if hasWork && len(c.window) > 0 {
-		head := c.window[0]
+	if hasWork && c.n > 0 {
+		head := &c.win[c.head]
 		if head.compute == 0 && head.hasMem && !head.memDone && head.l2Miss {
 			c.idleMemStall = true
 		}
@@ -278,20 +331,21 @@ func (c *Core) recordIdleRates(hasWork bool) {
 // NextAt returns the next cycle the core must be Tick'd at. On cycles
 // before it, the core is provably inert — the engine skips the Tick
 // entirely and the skipped cycles' stall accounting is applied lazily
-// by FlushIdle. Completion callbacks pull it to the cycle they fire at,
+// by FlushIdle. Load completions pull it to the cycle they arrive at,
 // so it must be re-read every cycle after the memory system has acted.
 func (c *Core) NextAt() int64 { return c.nextAt }
 
 // parkSafe reports whether every unblock the stalled core is waiting
-// for arrives via one of its own completion callbacks (which reset
+// for arrives via one of its own load completions (which reset
 // nextAt). A rejected writeback or a load held back by anything other
 // than a busy dependence chain of this core clears through shared
-// state the callbacks do not cover, so the core must poll instead.
+// state the completions do not cover, so the core must poll instead.
 func (c *Core) parkSafe() bool {
 	if c.storeBlocked {
 		return false
 	}
-	for _, e := range c.unissued {
+	for _, i := range c.unissued {
+		e := &c.win[i]
 		if !e.dep || c.chainOutstanding(e.chain) == 0 {
 			return false
 		}
@@ -306,8 +360,8 @@ func (c *Core) parkSafe() bool {
 // the completion that unblocks them is tracked by the controller or the
 // cache hierarchy, whose horizons bound the simulation jump.
 func (c *Core) nextEvent(now int64) int64 {
-	if len(c.window) > 0 {
-		head := c.window[0]
+	if c.n > 0 {
+		head := &c.win[c.head]
 		if head.compute > 0 || (head.hasMem && head.memDone) {
 			return now + 1 // commit can retire next cycle
 		}
@@ -365,8 +419,8 @@ func (c *Core) FlushIdle(now int64) {
 func (c *Core) commit() int {
 	budget := c.cfg.Width
 	done := 0
-	for budget > 0 && len(c.window) > 0 {
-		head := c.window[0]
+	for budget > 0 && c.n > 0 {
+		head := &c.win[c.head]
 		if head.compute > 0 {
 			n := int64(budget)
 			if head.compute < n {
@@ -394,12 +448,26 @@ func (c *Core) commit() int {
 }
 
 func (c *Core) popHead() {
-	head := c.window[0]
-	if head == c.tail {
-		c.tail = nil
+	if c.head == c.tail {
+		c.tail = -1
 	}
-	copy(c.window, c.window[1:])
-	c.window = c.window[:len(c.window)-1]
+	c.head++
+	if c.head == len(c.win) {
+		c.head = 0
+	}
+	c.n--
+}
+
+// pushEntry opens a fresh entry at the young end of the window and
+// returns its ring index.
+func (c *Core) pushEntry() int {
+	if c.n == len(c.win) {
+		panic("cpu: instruction window ring overflow") // see Core.win
+	}
+	j := c.ring(c.n)
+	c.win[j] = winEntry{}
+	c.n++
+	return j
 }
 
 // fetch brings up to Width instructions into the window, issuing
@@ -448,11 +516,12 @@ func (c *Core) fetch(now int64) {
 		// fetch unit; at most one memory op per fetch group). The
 		// access issues later, once its dependence chain is clear and
 		// memory-port resources are available.
-		entry := c.closeEntryWithMem()
+		idx := c.closeEntryWithMem()
+		entry := &c.win[idx]
 		entry.addr = c.curAccess.LineAddr
 		entry.chain = c.curAccess.Chain
 		entry.dep = c.curAccess.Dep
-		c.unissued = append(c.unissued, entry)
+		c.unissued = append(c.unissued, int32(idx))
 		c.fetchedMem = true
 		c.occupancy++
 		budget = 0 // one memory op ends the fetch group
@@ -465,22 +534,21 @@ func (c *Core) fetch(now int64) {
 // outstanding.
 func (c *Core) issueLoads(now int64) {
 	kept := c.unissued[:0]
-	for _, e := range c.unissued {
+	for _, i := range c.unissued {
+		e := &c.win[i]
 		if e.dep && c.chainOutstanding(e.chain) > 0 {
-			kept = append(kept, e)
+			kept = append(kept, i)
 			continue
 		}
-		e := e
-		if c.tagger != nil {
-			c.tagger.TagNextLoad(c.issueSeq + 1)
-		}
-		accepted, l2Miss := c.mem.Load(now, e.addr, c.loadDone(e))
+		seq := c.issueSeq + 1
+		accepted, l2Miss := c.mem.Load(now, e.addr, seq)
 		if !accepted {
-			kept = append(kept, e) // resources exhausted; retry next cycle
+			kept = append(kept, i) // resources exhausted; retry next cycle
 			continue
 		}
-		c.issueSeq++
-		e.seq = c.issueSeq
+		c.mapSeq(seq, i)
+		c.issueSeq = seq
+		e.seq = seq
 		e.issued = true
 		e.l2Miss = l2Miss
 		if l2Miss {
@@ -492,18 +560,30 @@ func (c *Core) issueLoads(now int64) {
 	c.unissued = kept
 }
 
-// loadDone builds the completion callback for window entry e: it marks
-// the load complete, releases its dependence chain, and wakes a parked
-// core (the completion may unblock commit or a dependent load at the
-// cycle it fires). Checkpoint restore re-creates these callbacks for
-// in-flight loads via InFlightCallback, so the two must stay in sync.
-func (c *Core) loadDone(e *winEntry) func(at int64) {
-	return func(at int64) {
-		e.memDone = true
-		c.chainBusy[e.chain]--
-		if at < c.nextAt {
-			c.nextAt = at
-		}
+// mapSeq records that the load with issue sequence number seq lives at
+// ring index i, asserting the collision-freedom argued at Core.bySeq.
+func (c *Core) mapSeq(seq int64, i int32) {
+	k := seq % int64(len(c.bySeq))
+	if o := &c.win[c.bySeq[k]]; o.inFlight() && o.seq%int64(len(c.bySeq)) == k {
+		panic(fmt.Sprintf("cpu: core %d load tags %d and %d collide in flight; the 2×WindowSize bound is broken", c.id, o.seq, seq))
+	}
+	c.bySeq[k] = i
+}
+
+// LoadDone implements LoadSink: the load tagged with issue sequence
+// number tag completed at cycle at. It marks the window entry complete,
+// releases its dependence chain, and wakes a parked core (the
+// completion may unblock commit or a dependent load at the cycle it
+// fires).
+func (c *Core) LoadDone(tag, at int64) {
+	e := &c.win[c.bySeq[tag%int64(len(c.bySeq))]]
+	if e.seq != tag || !e.inFlight() {
+		panic(fmt.Sprintf("cpu: core %d completed load tag %d, which is not in flight", c.id, tag))
+	}
+	e.memDone = true
+	c.chainBusy[e.chain]--
+	if at < c.nextAt {
+		c.nextAt = at
 	}
 }
 
@@ -522,23 +602,21 @@ func (c *Core) growChain(chain int) {
 
 // appendCompute adds n compute instructions to the open tail entry.
 func (c *Core) appendCompute(n int64) {
-	if c.tail == nil {
-		c.tail = &winEntry{}
-		c.window = append(c.window, c.tail)
+	if c.tail < 0 {
+		c.tail = c.pushEntry()
 	}
-	c.tail.compute += n
+	c.win[c.tail].compute += n
 	c.occupancy += int(n)
 }
 
 // closeEntryWithMem turns the open tail entry into one terminated by a
-// memory instruction and returns it.
-func (c *Core) closeEntryWithMem() *winEntry {
-	if c.tail == nil {
-		c.tail = &winEntry{}
-		c.window = append(c.window, c.tail)
+// memory instruction and returns its ring index.
+func (c *Core) closeEntryWithMem() int {
+	if c.tail < 0 {
+		c.tail = c.pushEntry()
 	}
-	e := c.tail
-	e.hasMem = true
-	c.tail = nil
-	return e
+	i := c.tail
+	c.win[i].hasMem = true
+	c.tail = -1
+	return i
 }

@@ -9,6 +9,7 @@ import (
 // scriptMem is a scripted Memory port: loads complete after a fixed
 // latency; an acceptance gate can refuse.
 type scriptMem struct {
+	sink      LoadSink
 	latency   int64
 	l2Miss    bool
 	refuse    bool
@@ -19,16 +20,18 @@ type scriptMem struct {
 }
 
 type pendingOp struct {
-	at   int64
-	done func(int64)
+	at  int64
+	tag int64
 }
 
-func (m *scriptMem) Load(now int64, lineAddr uint64, done func(int64)) (bool, bool) {
+func (m *scriptMem) SetLoadSink(s LoadSink) { m.sink = s }
+
+func (m *scriptMem) Load(now int64, lineAddr uint64, tag int64) (bool, bool) {
 	if m.refuse {
 		return false, m.l2Miss
 	}
 	m.loads++
-	m.pending = append(m.pending, pendingOp{at: now + m.latency, done: done})
+	m.pending = append(m.pending, pendingOp{at: now + m.latency, tag: tag})
 	return true, m.l2Miss
 }
 
@@ -44,7 +47,7 @@ func (m *scriptMem) Store(now int64, lineAddr uint64) bool {
 func (m *scriptMem) tick(now int64) {
 	for i := 0; i < len(m.pending); {
 		if m.pending[i].at <= now {
-			m.pending[i].done(now)
+			m.sink.LoadDone(m.pending[i].tag, now)
 			m.pending[i] = m.pending[len(m.pending)-1]
 			m.pending = m.pending[:len(m.pending)-1]
 		} else {

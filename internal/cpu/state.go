@@ -8,13 +8,13 @@ import (
 )
 
 // This file implements checkpoint support for the core model
-// (DESIGN.md §17). The window is serialized entry by entry; the tail
-// pointer and the unissued list are stored as window indices (every
-// unissued entry is in the window: it was created there and commit
-// cannot retire an un-completed memory entry). The completion closures
-// of in-flight loads are NOT serialized — restore re-creates them via
-// InFlightCallback, matching controller/cache pending state back to
-// window entries by issue sequence number.
+// (DESIGN.md §17). The window is serialized entry by entry, oldest
+// first; the tail entry and the unissued list are stored as window
+// positions (every unissued entry is in the window: it was created
+// there and commit cannot retire an un-completed memory entry). The
+// completion of an in-flight load needs nothing beyond its entry's
+// issue sequence number — the tag its memory port hands back — so the
+// ring layout and the seq index are rebuilt on restore.
 
 // WinEntrySnapshot is the serialized form of one window entry.
 type WinEntrySnapshot struct {
@@ -64,7 +64,7 @@ type CoreState struct {
 // SaveState captures the core's mutable state.
 func (c *Core) SaveState() CoreState {
 	st := CoreState{
-		Window:       make([]WinEntrySnapshot, len(c.window)),
+		Window:       make([]WinEntrySnapshot, c.n),
 		Occupancy:    c.occupancy,
 		Fetching:     c.fetching,
 		CurAccess:    c.curAccess,
@@ -85,66 +85,90 @@ func (c *Core) SaveState() CoreState {
 		IdleHasWork:  c.idleHasWork,
 		IdleMemStall: c.idleMemStall,
 	}
-	for i, e := range c.window {
+	for i := range st.Window {
+		e := &c.win[c.ring(i)]
 		st.Window[i] = WinEntrySnapshot{
 			Compute: e.compute, HasMem: e.hasMem, MemDone: e.memDone,
 			L2Miss: e.l2Miss, Issued: e.issued, Addr: e.addr,
 			Chain: e.chain, Dep: e.dep, Seq: e.seq,
 		}
-		if e == c.tail {
-			st.TailIdx = i
-		}
 	}
-	for _, e := range c.unissued {
-		idx := -1
-		for i, w := range c.window {
-			if w == e {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			panic("cpu: unissued entry not in window") // structural invariant
-		}
-		st.Unissued = append(st.Unissued, idx)
+	if c.tail >= 0 {
+		st.TailIdx = c.position(c.tail)
+	}
+	for _, i := range c.unissued {
+		st.Unissued = append(st.Unissued, c.position(int(i)))
 	}
 	return st
 }
 
+// position converts a ring index to a window position (0 = oldest).
+func (c *Core) position(ring int) int {
+	p := ring - c.head
+	if p < 0 {
+		p += len(c.win)
+	}
+	return p
+}
+
 // RestoreState overwrites the core's mutable state with a snapshot.
-// In-flight loads (issued, not complete) are left without completion
-// callbacks; the caller must re-link each one via InFlightCallback
-// before the simulation resumes.
+// The window is laid out from ring index 0 and the seq index of its
+// in-flight loads is rebuilt, so the memory ports' restored tags
+// resolve exactly as they did in the original run.
 func (c *Core) RestoreState(st CoreState) error {
+	if len(st.Window) > len(c.win) {
+		return fmt.Errorf("cpu: snapshot window has %d entries, ring holds %d", len(st.Window), len(c.win))
+	}
 	if st.TailIdx < -1 || st.TailIdx >= len(st.Window) {
 		return fmt.Errorf("cpu: snapshot tail index %d out of range for window of %d", st.TailIdx, len(st.Window))
 	}
-	window := make([]*winEntry, len(st.Window))
+	if len(st.Unissued) > cap(c.unissued) {
+		return fmt.Errorf("cpu: snapshot has %d unissued loads, window holds %d", len(st.Unissued), cap(c.unissued))
+	}
+	for _, idx := range st.Unissued {
+		if idx < 0 || idx >= len(st.Window) {
+			return fmt.Errorf("cpu: snapshot unissued index %d out of range for window of %d", idx, len(st.Window))
+		}
+	}
+	for i := range c.win {
+		c.win[i] = winEntry{}
+	}
 	for i, e := range st.Window {
-		window[i] = &winEntry{
+		c.win[i] = winEntry{
 			compute: e.Compute, hasMem: e.HasMem, memDone: e.MemDone,
 			l2Miss: e.L2Miss, issued: e.Issued, addr: e.Addr,
 			chain: e.Chain, dep: e.Dep, seq: e.Seq,
 		}
 	}
-	unissued := make([]*winEntry, 0, len(st.Unissued))
-	for _, idx := range st.Unissued {
-		if idx < 0 || idx >= len(window) {
-			return fmt.Errorf("cpu: snapshot unissued index %d out of range for window of %d", idx, len(window))
-		}
-		unissued = append(unissued, window[idx])
+	c.head = 0
+	c.n = len(st.Window)
+	for i := range c.bySeq {
+		c.bySeq[i] = 0
 	}
-	c.window = window
+	for i := 0; i < c.n; i++ {
+		e := &c.win[i]
+		if !e.inFlight() {
+			continue
+		}
+		if e.seq <= 0 || e.seq > st.IssueSeq {
+			return fmt.Errorf("cpu: snapshot in-flight load has issue seq %d outside (0, %d]", e.seq, st.IssueSeq)
+		}
+		k := e.seq % int64(len(c.bySeq))
+		if o := &c.win[c.bySeq[k]]; o != e && o.inFlight() && o.seq%int64(len(c.bySeq)) == k {
+			return fmt.Errorf("cpu: snapshot in-flight loads %d and %d collide in the seq index", o.seq, e.seq)
+		}
+		c.bySeq[k] = int32(i)
+	}
+	c.unissued = c.unissued[:0]
+	for _, idx := range st.Unissued {
+		c.unissued = append(c.unissued, int32(idx))
+	}
 	c.occupancy = st.Occupancy
 	c.fetching = st.Fetching
 	c.curAccess = st.CurAccess
 	c.gapLeft = st.GapLeft
-	c.tail = nil
-	if st.TailIdx >= 0 {
-		c.tail = window[st.TailIdx]
-	}
+	c.tail = st.TailIdx
 	c.streamDone = st.StreamDone
-	c.unissued = unissued
 	c.storeBlocked = st.StoreBlocked
 	c.fetchedMem = st.FetchedMem
 	c.chainBusy = append([]int(nil), st.ChainBusy...)
@@ -166,8 +190,8 @@ func (c *Core) RestoreState(st CoreState) error {
 // i.e. in the order the loads were accepted by the memory port.
 func (c *Core) InFlightSeqs() []int64 {
 	var seqs []int64
-	for _, e := range c.window {
-		if e.hasMem && e.issued && !e.memDone {
+	for i := 0; i < c.n; i++ {
+		if e := &c.win[c.ring(i)]; e.inFlight() {
 			seqs = append(seqs, e.seq)
 		}
 	}
@@ -175,16 +199,14 @@ func (c *Core) InFlightSeqs() []int64 {
 	return seqs
 }
 
-// InFlightCallback returns a fresh completion callback for the
-// in-flight load with the given issue sequence number, behaviorally
-// identical to the one issueLoads registered in the original run. It
-// errors when no such in-flight load exists — a checkpoint/component
-// mismatch the caller must surface.
-func (c *Core) InFlightCallback(seq int64) (func(at int64), error) {
-	for _, e := range c.window {
-		if e.hasMem && e.issued && !e.memDone && e.seq == seq {
-			return c.loadDone(e), nil
+// CheckInFlight returns nil when tag names one of the core's in-flight
+// loads, and an error otherwise — a checkpoint/component mismatch the
+// caller must surface before any completion can resolve the tag.
+func (c *Core) CheckInFlight(tag int64) error {
+	if tag > 0 {
+		if e := &c.win[c.bySeq[tag%int64(len(c.bySeq))]]; e.seq == tag && e.inFlight() {
+			return nil
 		}
 	}
-	return nil, fmt.Errorf("cpu: core %d has no in-flight load with issue seq %d", c.id, seq)
+	return fmt.Errorf("cpu: core %d has no in-flight load with issue seq %d", c.id, tag)
 }

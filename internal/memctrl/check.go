@@ -71,7 +71,11 @@ func (c *Controller) ServicedWrites() int64 {
 //   - request conservation: every accepted request is exactly one of
 //     serviced, queued, or in flight (so every enqueued read completes
 //     exactly once — it can neither be lost nor double-completed
-//     without breaking the identity).
+//     without breaking the identity);
+//   - pool conservation: every Request the pool created is exactly one
+//     of queued, in flight, or free; every free Request is zeroed, and
+//     every queued, in-flight or reserved one carries a live (non-zero)
+//     ID, so a recycled request still referenced anywhere is caught.
 //
 // The identities hold at every instant between controller operations,
 // so the check may run at arbitrary points of a simulation. It returns
@@ -191,6 +195,16 @@ func (c *Controller) CheckInvariants() error {
 			}
 		}
 	}
+	for ch := range c.reserved {
+		for b, r := range c.reserved[ch] {
+			if r != nil && (r.ID == 0 || r.CASIssued) {
+				return fmt.Errorf("memctrl: reservation (ch %d, bank %d) names a retired request (ID %d)", ch, b, r.ID)
+			}
+		}
+	}
+	if err := c.checkPool(); err != nil {
+		return err
+	}
 	fr, fw := c.InFlight()
 	if got := c.ServicedReads() + int64(c.queuedReads) + int64(fr); got != c.enqueuedReads {
 		return fmt.Errorf("memctrl: read conservation violated: %d enqueued, but serviced+queued+inflight = %d",
@@ -199,6 +213,39 @@ func (c *Controller) CheckInvariants() error {
 	if got := c.ServicedWrites() + int64(c.queuedWrites) + int64(fw); got != c.enqueuedWrites {
 		return fmt.Errorf("memctrl: write conservation violated: %d enqueued, but serviced+queued+inflight = %d",
 			c.enqueuedWrites, got)
+	}
+	return nil
+}
+
+// checkPool verifies the request pool's conservation identity and that
+// no live structure holds a released (zeroed) request.
+func (c *Controller) checkPool() error {
+	live := c.queuedReads + c.queuedWrites + c.inFlightTotal()
+	if got := live + len(c.free); got != c.pooled {
+		return fmt.Errorf("memctrl: pool conservation violated: %d requests pooled, but queued+inflight+free = %d",
+			c.pooled, got)
+	}
+	for i, r := range c.free {
+		if *r != (Request{}) {
+			return fmt.Errorf("memctrl: free-list entry %d is not zeroed (ID %d)", i, r.ID)
+		}
+	}
+	for idx := range c.queues {
+		q := &c.queues[idx]
+		for _, list := range [2][]*Request{q.reads, q.writes} {
+			for _, r := range list {
+				if r.ID == 0 {
+					return fmt.Errorf("memctrl: bank index %d queues a released request", idx)
+				}
+			}
+		}
+	}
+	for ch := range c.chState {
+		for _, r := range c.chState[ch].inFlight {
+			if r.ID == 0 {
+				return fmt.Errorf("memctrl: channel %d holds a released request in flight", ch)
+			}
+		}
 	}
 	return nil
 }

@@ -184,6 +184,13 @@ type Controller struct {
 	// merge point where per-channel work re-enters cross-channel state
 	// (thread stats, MSHR frees, core wakeups).
 	due []*Request
+	// free is the request pool (DESIGN.md §14): zeroed Requests ready
+	// for the next enqueue. pooled counts every Request the pool has
+	// ever created, so between operations pooled equals queued plus
+	// in-flight plus len(free) — the pool-conservation identity
+	// CheckInvariants verifies.
+	free   []*Request
+	pooled int
 
 	nextID       uint64
 	queuedReads  int
@@ -367,6 +374,7 @@ func NewController(cfg Config, policy Policy) (*Controller, error) {
 		chHorizon:      make([]int64, cfg.Geometry.Channels),
 		chState:        make([]chanState, cfg.Geometry.Channels),
 		due:            make([]*Request, 0, bufCap),
+		free:           make([]*Request, 0, bufCap),
 		draining:       make([]bool, cfg.Geometry.Channels),
 		queuedPerThr:   make([]int, cfg.NumThreads),
 		queuedBank:     make([][]int16, cfg.NumThreads),
@@ -499,14 +507,16 @@ func (c *Controller) CanAcceptRead() bool { return c.queuedReads < c.cfg.ReadBuf
 func (c *Controller) CanAcceptWrite() bool { return c.queuedWrites < c.cfg.WriteBufferCap }
 
 // EnqueueRead adds a demand read for lineAddr from the given thread.
-// onComplete (may be nil) fires when the full round trip finishes. It
-// returns false, without side effects, if the request buffer is full.
-func (c *Controller) EnqueueRead(now int64, thread int, lineAddr uint64, onComplete func(now int64)) bool {
+// When the full round trip finishes, owner (may be nil) receives
+// owner.Complete(tag, at). It returns false, without side effects, if
+// the request buffer is full.
+func (c *Controller) EnqueueRead(now int64, thread int, lineAddr uint64, owner Completer, tag int64) bool {
 	if !c.CanAcceptRead() {
 		return false
 	}
 	r := c.newRequest(now, thread, lineAddr, false)
-	r.OnComplete = onComplete
+	r.Owner = owner
+	r.Tag = tag
 	idx := r.Loc.Channel*c.banksPer + r.Loc.Bank
 	q := &c.queues[idx]
 	q.reads = append(q.reads, r)
@@ -554,7 +564,8 @@ func (c *Controller) EnqueueWrite(now int64, thread int, lineAddr uint64) bool {
 
 func (c *Controller) newRequest(now int64, thread int, lineAddr uint64, isWrite bool) *Request {
 	c.nextID++
-	return &Request{
+	r := c.allocRequest()
+	*r = Request{
 		ID:       c.nextID,
 		Thread:   thread,
 		LineAddr: lineAddr,
@@ -562,6 +573,35 @@ func (c *Controller) newRequest(now int64, thread int, lineAddr uint64, isWrite 
 		IsWrite:  isWrite,
 		Arrival:  now,
 	}
+	return r
+}
+
+// poolChunk is the smallest slab the request pool grows by.
+const poolChunk = 32
+
+// allocRequest takes a zeroed Request from the pool, growing the pool by
+// a slab when it is empty. The live set is bounded by the buffer
+// capacities plus the bursts in flight, so after warm-up the pool stops
+// growing and enqueue allocates nothing.
+func (c *Controller) allocRequest() *Request {
+	if len(c.free) == 0 {
+		slab := make([]Request, max(c.pooled, poolChunk))
+		for i := range slab {
+			c.free = append(c.free, &slab[i])
+		}
+		c.pooled += len(slab)
+	}
+	r := c.free[len(c.free)-1]
+	c.free = c.free[:len(c.free)-1]
+	return r
+}
+
+// releaseRequest zeroes a retired request and returns it to the pool.
+// Zeroing is what makes stale use detectable: a released request has
+// ID 0, which no live request ever carries.
+func (c *Controller) releaseRequest(r *Request) {
+	*r = Request{}
+	c.free = append(c.free, r)
 }
 
 // Tick advances the controller to CPU cycle now. The controller acts
@@ -691,14 +731,15 @@ func refreshMemo(channel *dram.Channel, r *Request, epoch uint64) {
 }
 
 // completeFinished retires every in-flight request whose completion
-// time has arrived, firing OnComplete callbacks in deterministic
-// (CompleteAt, then arrival ID) order. In-flight requests live in
+// time has arrived, notifying owners in deterministic (CompleteAt, then
+// arrival ID) order, and returns each request to the pool once its
+// owner's Complete has returned. In-flight requests live in
 // per-channel lists (issue is channel-confined, DESIGN.md §16) whose
 // internal order is scrambled by past removals, so gathering the due
 // set across channels and sorting it is what keeps same-cycle
-// completions — and everything downstream of their callbacks (MSHR
-// frees, dependent wakeups, the IDs of requests enqueued from inside a
-// callback) — independent of both buffer layout and channel index.
+// completions — and everything downstream of their owners (MSHR frees,
+// dependent wakeups, the IDs of requests enqueued from inside a
+// Complete) — independent of both buffer layout and channel index.
 func (c *Controller) completeFinished(now int64) {
 	due := c.due[:0]
 	for i := range c.chState {
@@ -750,9 +791,10 @@ func (c *Controller) completeFinished(now int64) {
 		if c.trace != nil {
 			c.traceLifecycle(telemetry.EvComplete, r.CompleteAt, r)
 		}
-		if r.OnComplete != nil {
-			r.OnComplete(r.CompleteAt)
+		if r.Owner != nil {
+			r.Owner.Complete(r.Tag, r.CompleteAt)
 		}
+		c.releaseRequest(r)
 	}
 }
 

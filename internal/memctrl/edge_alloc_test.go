@@ -6,13 +6,20 @@ import (
 	"stfm/internal/dram"
 )
 
+// CompleteFunc adapts a function to the Completer interface for tests.
+type CompleteFunc func(tag, at int64)
+
+// Complete implements Completer.
+func (f CompleteFunc) Complete(tag, at int64) { f(tag, at) }
+
 // TestEdgePathZeroAllocs pins the tentpole property the controller's
 // preallocated containers exist for: once the buffers are loaded, the
 // per-edge path — completion retirement, per-bank tournament (memoized
 // and full scans), issue, horizon computation — performs zero heap
-// allocations per tick. Allocation belongs to enqueue (one Request per
-// accepted access) and nowhere else; a regression here silently
-// reintroduces GC pressure proportional to simulated cycles.
+// allocations per tick. Enqueue allocates nothing either once the
+// request pool has grown to the live set (TestRoundTripZeroAllocs); a
+// regression here silently reintroduces GC pressure proportional to
+// simulated cycles.
 func TestEdgePathZeroAllocs(t *testing.T) {
 	c := newEdgeController(t, 8, 2)
 	fillQueues(c, 0, 8)
@@ -64,11 +71,46 @@ func TestEdgePathZeroAllocsBankGroups(t *testing.T) {
 	}
 }
 
+// TestRoundTripZeroAllocs extends the gate from the edge path to a
+// read's whole life: enqueue into a pooled Request, arbitration, issue,
+// completion, the owner's indexed notification, and the request's
+// return to the pool. After warm-up the round trip allocates nothing.
+func TestRoundTripZeroAllocs(t *testing.T) {
+	c := newEdgeController(t, 4, 2)
+	g := c.cfg.Geometry
+	done := 0
+	owner := CompleteFunc(func(_, _ int64) { done++ })
+	now, i := int64(0), 0
+	roundTrip := func() {
+		loc := dram.Location{Channel: i % g.Channels, Bank: (i / 2) % g.BanksPerChannel, Row: 1 + i%3}
+		i++
+		want := done + 1
+		if !c.EnqueueRead(now, i%4, g.LineAddr(loc), owner, int64(i)) {
+			t.Fatal("enqueue refused on an empty controller")
+		}
+		c.EnqueueWrite(now, i%4, g.LineAddr(loc)+1)
+		for done < want {
+			now = c.NextTickAt()
+			c.Tick(now)
+		}
+	}
+	for k := 0; k < 50; k++ {
+		roundTrip()
+	}
+	allocs := testing.AllocsPerRun(100, roundTrip)
+	if allocs != 0 {
+		t.Errorf("enqueue→complete round trip allocates %.1f times, want 0", allocs)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCompleteFinishedDeterministicOrder is the regression test for the
 // completion-order fix: the in-flight buffer's internal order is
-// scrambled by swap-removal, so same-cycle completions must fire their
-// OnComplete callbacks sorted by (CompleteAt, then arrival ID) — never
-// by buffer position. Anything downstream of the callbacks (MSHR frees,
+// scrambled by swap-removal, so same-cycle completions must notify their
+// owners sorted by (CompleteAt, then arrival ID) — never by buffer
+// position. Anything downstream of the completions (MSHR frees,
 // the IDs assigned to requests enqueued from inside a callback) depends
 // on this order being a function of the schedule, not of slice layout.
 func TestCompleteFinishedDeterministicOrder(t *testing.T) {
@@ -80,7 +122,8 @@ func TestCompleteFinishedDeterministicOrder(t *testing.T) {
 			Thread:     int(id) % 4,
 			IsWrite:    true, // writes skip read-side stats bookkeeping
 			CompleteAt: at,
-			OnComplete: func(int64) { fired = append(fired, id) },
+			Owner:      CompleteFunc(func(tag, _ int64) { fired = append(fired, uint64(tag)) }),
+			Tag:        int64(id),
 		}
 	}
 	// Buffer layout deliberately scrambled: neither CompleteAt- nor

@@ -56,7 +56,7 @@ func newEdgeController(tb testing.TB, threads, channels int) *Controller {
 // fillQueues tops the read and write buffers up to capacity with a
 // deterministic spread of threads, channels, banks and rows — a mix of
 // row hits, conflicts and bank parallelism, so the tournament sees
-// realistically contended queues. Completion callbacks are nil: the
+// realistically contended queues. Completion owners are nil: the
 // benchmarks measure the controller, not its callers.
 func fillQueues(c *Controller, now int64, threads int) {
 	g := c.cfg.Geometry
@@ -68,7 +68,7 @@ func fillQueues(c *Controller, now int64, threads int) {
 			Row:     1 + (i/3)%4,
 			Column:  i % 64,
 		}
-		c.EnqueueRead(now, i%threads, g.LineAddr(loc), nil)
+		c.EnqueueRead(now, i%threads, g.LineAddr(loc), nil, 0)
 		i++
 	}
 	for c.CanAcceptWrite() {
@@ -157,11 +157,15 @@ func BenchmarkCompleteFinished(b *testing.B) {
 	for _, g := range edgeGrid {
 		b.Run(benchName(g.threads, g.channels), func(b *testing.B) {
 			c := newEdgeController(b, g.threads, g.channels)
-			done := func(int64) {}
+			done := CompleteFunc(func(_, _ int64) {})
 			const burst = 16
+			// completeFinished zeroes and recycles every retired
+			// request, so each iteration re-seeds them from templates.
+			tmpl := make([]Request, burst)
 			reqs := make([]*Request, burst)
 			for i := range reqs {
-				reqs[i] = &Request{
+				reqs[i] = new(Request)
+				tmpl[i] = Request{
 					ID:     uint64(burst - i), // scrambled vs slice order
 					Thread: i % g.threads,
 					Loc: dram.Location{
@@ -170,7 +174,7 @@ func BenchmarkCompleteFinished(b *testing.B) {
 					},
 					IsWrite:    i%4 == 3,
 					CompleteAt: int64(10 + i/4), // clusters of same-cycle completions
-					OnComplete: done,
+					Owner:      done,
 				}
 			}
 			b.ReportAllocs()
@@ -179,7 +183,9 @@ func BenchmarkCompleteFinished(b *testing.B) {
 				for ch := range c.chState {
 					c.chState[ch].inFlight = c.chState[ch].inFlight[:0]
 				}
-				for _, r := range reqs {
+				c.free = c.free[:0]
+				for j, r := range reqs {
+					*r = tmpl[j]
 					cs := &c.chState[r.Loc.Channel]
 					cs.inFlight = append(cs.inFlight, r)
 				}

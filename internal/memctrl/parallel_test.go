@@ -120,7 +120,7 @@ func TestParallelCommandScheduleMatchesSerial(t *testing.T) {
 
 // TestParallelMergeOrderAcrossChannels is the regression test for the
 // deterministic completion merge: when requests on *different channels*
-// complete at the same cycle, their OnComplete callbacks must fire in
+// complete at the same cycle, their owners must be notified in
 // (CompleteAt, then arrival ID) order across the per-channel in-flight
 // lists — never grouped by channel index. Channel 1 deliberately holds
 // the oldest request (ID 2) so an engine that drained channel 0's list
@@ -136,7 +136,8 @@ func TestParallelMergeOrderAcrossChannels(t *testing.T) {
 			Loc:        dram.Location{Channel: ch},
 			IsWrite:    true, // writes skip read-side stats bookkeeping
 			CompleteAt: at,
-			OnComplete: func(int64) { fired = append(fired, id) },
+			Owner:      CompleteFunc(func(tag, _ int64) { fired = append(fired, uint64(tag)) }),
+			Tag:        int64(id),
 		}
 	}
 	// Same-cycle cluster at cycle 6 spans both channels with IDs

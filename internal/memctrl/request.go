@@ -7,10 +7,28 @@ package memctrl
 
 import "stfm/internal/dram"
 
+// Completer is the owner of a read request: the component that asked
+// for the line and must learn when it arrives. Complete(tag, at) runs
+// exactly once per accepted read, at the request's completion cycle at,
+// with the tag the owner passed to EnqueueRead. A completion is an
+// indexed handoff, not a closure: the owner resolves tag against its own
+// tables, so issuing a read allocates nothing.
+type Completer interface {
+	// Complete reports that the read enqueued with tag finished at
+	// CPU cycle at.
+	Complete(tag, at int64)
+}
+
 // Request is one outstanding memory request (a cache-line read fill or
 // a writeback) held in the controller's request buffer. Each entry
 // carries the ID of the thread that generated it (the paper's Table 1
 // per-request Thread-ID register).
+//
+// Requests are pooled (DESIGN.md §14): the controller owns a request
+// from enqueue until its completion handler returns, then zeroes it and
+// recycles it for a later enqueue. Nothing outside the controller may
+// keep a *Request past that point — policies key any state that must
+// outlive a request on its ID, which stays unique and monotonic.
 type Request struct {
 	// ID is a unique, monotonically increasing identifier; it doubles
 	// as a total arrival order for FCFS tie-breaking.
@@ -27,9 +45,12 @@ type Request struct {
 	IsWrite bool
 	// Arrival is the CPU cycle the request entered the controller.
 	Arrival int64
-	// OnComplete, if non-nil, is invoked once when the request's data
-	// transfer (and round trip, for reads) finishes.
-	OnComplete func(now int64)
+	// Owner, if non-nil, receives Owner.Complete(Tag, at) once when the
+	// request's data transfer (and round trip, for reads) finishes.
+	Owner Completer
+	// Tag is the owner's own identifier for the request, handed back
+	// verbatim by the completion.
+	Tag int64
 
 	// Started is set when the first DRAM command for this request is
 	// issued; the request then occupies a bank (it counts toward the

@@ -96,7 +96,7 @@ type RequestState struct {
 	Thread int `json:"thread"`
 	// LineAddr is the cache-line address; Loc is recomputed from it.
 	LineAddr uint64 `json:"lineAddr"`
-	// IsWrite marks writebacks (no completion callback).
+	// IsWrite marks writebacks (no completion owner).
 	IsWrite bool `json:"isWrite"`
 	// Arrival is the CPU cycle the request entered the buffer.
 	Arrival int64 `json:"arrival"`
@@ -195,12 +195,12 @@ func (c *Controller) SaveState() ControllerState {
 
 // RestoreState overwrites a freshly constructed controller's mutable
 // state with a snapshot taken on a controller of the same
-// configuration. resolve supplies the OnComplete callback for each
-// restored read request (writes never carry one); it may return a nil
-// callback. Every incremental accounting structure (queue counts,
+// configuration. resolve supplies the completion owner and tag for
+// each restored read request (writes never carry one); it may return a
+// nil owner. Every incremental accounting structure (queue counts,
 // per-thread bank-parallelism registers, write-drain occupancy) is
 // rebuilt during re-insertion; scheduling memos start invalid.
-func (c *Controller) RestoreState(st ControllerState, resolve func(r RequestState) (func(now int64), error)) error {
+func (c *Controller) RestoreState(st ControllerState, resolve func(r RequestState) (Completer, int64, error)) error {
 	if len(st.Draining) != len(c.draining) {
 		return fmt.Errorf("memctrl: snapshot has %d drain flags, controller has %d channels", len(st.Draining), len(c.draining))
 	}
@@ -246,24 +246,28 @@ func (c *Controller) RestoreState(st ControllerState, resolve func(r RequestStat
 			queuedReads, queuedWrites, c.cfg.ReadBufferCap, c.cfg.WriteBufferCap)
 	}
 	for _, rs := range st.Requests {
-		r := &Request{
+		var owner Completer
+		var tag int64
+		if !rs.IsWrite {
+			var err error
+			if owner, tag, err = resolve(rs); err != nil {
+				return fmt.Errorf("memctrl: request %d: %w", rs.ID, err)
+			}
+		}
+		r := c.allocRequest()
+		*r = Request{
 			ID:                    rs.ID,
 			Thread:                rs.Thread,
 			LineAddr:              rs.LineAddr,
 			Loc:                   c.cfg.Geometry.Map(rs.LineAddr),
 			IsWrite:               rs.IsWrite,
 			Arrival:               rs.Arrival,
+			Owner:                 owner,
+			Tag:                   tag,
 			Started:               rs.Started,
 			CASIssued:             rs.CASIssued,
 			FirstScheduledOutcome: dram.RowBufferOutcome(rs.FirstOutcome),
 			CompleteAt:            rs.CompleteAt,
-		}
-		if !r.IsWrite {
-			done, err := resolve(rs)
-			if err != nil {
-				return fmt.Errorf("memctrl: request %d: %w", rs.ID, err)
-			}
-			r.OnComplete = done
 		}
 		byID[r.ID] = r
 		idx := r.Loc.Channel*c.banksPer + r.Loc.Bank

@@ -636,6 +636,23 @@ func (s *Server) runJob(j *job) (crashed bool) {
 		panic(chaosCrash{point: "checkpoint.write"})
 	}
 
+	if err == nil {
+		// Spill the result before publishing done and before journaling
+		// completion: a client that sees done may look the result up at
+		// once — here, or through another server or tool sharing the
+		// baseline directory — and a "done" record implies the result
+		// is retrievable, so a crash before it re-runs the job instead
+		// of losing its result.
+		if cerr := s.cache.Put(j.fp, res); cerr != nil {
+			s.logf("job %s: %v", j.id, cerr)
+		}
+		if s.baseline != nil && aloneShaped(j.cfg, j.workload) {
+			// Feed the shared baseline store too, so batch tools pointed
+			// at the same -baseline-dir skip this alone run entirely.
+			s.baseline.Put(experiments.BaselineKey(j.cfg, j.workload[0]), res)
+		}
+	}
+
 	j.mu.Lock()
 	j.cancel = nil
 	j.finishedAt = time.Now()
@@ -656,19 +673,6 @@ func (s *Server) runJob(j *job) (crashed bool) {
 	wall := j.finishedAt.Sub(j.startedAt)
 	j.mu.Unlock()
 
-	if status == StatusDone {
-		// Spill the result before journaling completion: a "done" record
-		// implies the result is retrievable, so a crash between the two
-		// re-runs the job instead of losing its result.
-		if cerr := s.cache.Put(j.fp, res); cerr != nil {
-			s.logf("job %s: %v", j.id, cerr)
-		}
-		if s.baseline != nil && aloneShaped(j.cfg, j.workload) {
-			// Feed the shared baseline store too, so batch tools pointed
-			// at the same -baseline-dir skip this alone run entirely.
-			s.baseline.Put(experiments.BaselineKey(j.cfg, j.workload[0]), res)
-		}
-	}
 	rec := walRecord{Type: walComplete, Job: j.id, Status: status}
 	if err != nil {
 		rec.Error = err.Error()

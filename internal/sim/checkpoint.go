@@ -32,9 +32,11 @@ import (
 // What is deliberately NOT checkpointed: scheduling memos and cache
 // epochs (recomputed, schedule-neutral by construction), the parallel
 // engine's worker pool (an engine knob, rebuilt per run), telemetry
-// buffers (observers), and completion callbacks (closures; re-created
-// by pairing restored controller/cache state back to window entries
-// via issue sequence numbers).
+// buffers (observers), and completion owners (re-derived on restore:
+// every pending completion is an owner plus an integer tag, and the
+// tags are the window entries' issue sequence numbers or MSHR slots,
+// recovered by pairing restored controller/cache state back to window
+// entries).
 
 const (
 	checkpointMagic   = "STFMCKPT"
@@ -272,13 +274,10 @@ func Restore(data []byte, opts *RestoreOptions) (sys *System, err error) {
 		}
 	}
 	// Hierarchies restore before the controller: the controller's
-	// read-completion resolver asks each hierarchy for its fill
-	// callback, which requires the outstanding-miss map to be in place.
+	// read-completion resolver asks each hierarchy for its fill tag,
+	// which requires the MSHRs to be in place.
 	for i, h := range s.hier {
-		core := s.cores[i]
-		if err := h.RestoreState(p.Hierarchies[i], func(tag int64) (func(now int64), error) {
-			return core.InFlightCallback(tag)
-		}); err != nil {
+		if err := h.RestoreState(p.Hierarchies[i], s.cores[i].CheckInFlight); err != nil {
 			return nil, &CheckpointError{Stage: "restore", Err: err}
 		}
 	}
@@ -322,22 +321,24 @@ func Restore(data []byte, opts *RestoreOptions) (sys *System, err error) {
 	return s, nil
 }
 
-// completionResolver builds the memctrl restore callback that re-links
-// each live read request to its consumer. In cache mode the consumer
-// is the owning hierarchy's fill path, keyed by line address. In
-// direct mode it is the issuing core's window entry: per-thread
-// request IDs are allocated in EnqueueRead order, which equals the
-// core's load acceptance order, so zipping the thread's live reads
-// (ascending ID) with the core's in-flight loads (ascending issue seq)
-// reproduces the original pairing; the callback is re-wrapped with the
-// direct port's MSHR bookkeeping exactly as directPort.Load does.
-func (s *System) completionResolver(st *memctrl.ControllerState) (func(rs memctrl.RequestState) (func(now int64), error), error) {
+// completionResolver builds the memctrl restore resolver that names
+// each live read request's owner and tag. In cache mode the owner is
+// the issuing thread's hierarchy and the tag its MSHR slot for the
+// line. In direct mode the owner is the thread's direct port and the
+// tag the issuing core's load seq: per-thread request IDs are
+// allocated in EnqueueRead order, which equals the core's load
+// acceptance order, so zipping the thread's live reads (ascending ID)
+// with the core's in-flight loads (ascending issue seq) reproduces the
+// original pairing.
+func (s *System) completionResolver(st *memctrl.ControllerState) (func(rs memctrl.RequestState) (memctrl.Completer, int64, error), error) {
 	if s.hier != nil {
-		return func(rs memctrl.RequestState) (func(now int64), error) {
+		return func(rs memctrl.RequestState) (memctrl.Completer, int64, error) {
 			if rs.Thread < 0 || rs.Thread >= len(s.hier) {
-				return nil, fmt.Errorf("thread %d out of range", rs.Thread)
+				return nil, 0, fmt.Errorf("thread %d out of range", rs.Thread)
 			}
-			return s.hier[rs.Thread].FillCallback(rs.LineAddr)
+			h := s.hier[rs.Thread]
+			tag, err := h.MissTag(rs.LineAddr)
+			return h, tag, err
 		}, nil
 	}
 	n := len(s.cores)
@@ -353,20 +354,12 @@ func (s *System) completionResolver(st *memctrl.ControllerState) (func(rs memctr
 		}
 		s.ports[t].outstanding = len(reads)
 	}
-	return func(rs memctrl.RequestState) (func(now int64), error) {
+	return func(rs memctrl.RequestState) (memctrl.Completer, int64, error) {
 		seq, ok := seqByID[rs.ID]
 		if !ok {
-			return nil, fmt.Errorf("request %d has no paired in-flight load", rs.ID)
+			return nil, 0, fmt.Errorf("request %d has no paired in-flight load", rs.ID)
 		}
-		done, err := s.cores[rs.Thread].InFlightCallback(seq)
-		if err != nil {
-			return nil, err
-		}
-		port := s.ports[rs.Thread]
-		return func(at int64) {
-			port.outstanding--
-			done(at)
-		}, nil
+		return s.ports[rs.Thread], seq, nil
 	}, nil
 }
 

@@ -159,9 +159,10 @@ type Config struct {
 	// schedules stay bit-identical with it on or off.
 	WatchdogCycles int64 `json:"watchdogCycles"`
 	// CheckInvariants enables opt-in self-checks at every watchdog
-	// boundary and at the end of the run: controller request
-	// conservation and queue accounting, MSHR occupancy bounds, and
-	// finiteness of STFM's slowdown registers. Violations — and any
+	// boundary and at the end of the run: controller request and
+	// request-pool conservation and queue accounting, MSHR occupancy
+	// bounds and slab accounting, and finiteness of STFM's slowdown
+	// registers. Violations — and any
 	// panic raised inside the run, such as a *dram.TimingError on an
 	// illegal command — surface as a structured *SimError. The checks
 	// are read-only, so checked runs stay bit-identical to unchecked
@@ -571,8 +572,8 @@ func (s *System) Tick() { s.step() }
 // step advances the system one CPU cycle and returns the earliest
 // future cycle at which any component can act — the event horizon Run
 // jumps to when it exceeds the new current cycle. Order matters for
-// exactness: the controller fires completions first (done callbacks
-// update window entries before cores commit), hierarchies deliver
+// exactness: the controller fires completions first (LoadDone marks
+// window entries complete before cores commit), hierarchies deliver
 // cache-hit completions next, cores run last; the controller's and
 // hierarchies' horizons are re-read after the cores run because core
 // activity (enqueues, cache hits) schedules new events for them.
@@ -597,7 +598,7 @@ func (s *System) step() int64 {
 		// bookkeeping its Tick would have performed is applied lazily
 		// (cpu.Core.FlushIdle) when the core next runs or its counters
 		// are read. NextAt is re-read here, after the controller and
-		// hierarchy acted, because their completion callbacks pull it
+		// hierarchy acted, because the load completions they deliver pull it
 		// to the current cycle. Dense runs tick unconditionally — they
 		// are the oracle the gating is checked against.
 		if s.cfg.DenseTick || c.NextAt() <= now {
@@ -937,9 +938,9 @@ func (s *System) stallError(window int64) *StallError {
 	return e
 }
 
-// checkInvariants runs the opt-in self-checks: controller accounting
-// and request conservation, MSHR occupancy bounds, and STFM register
-// finiteness. All checks are read-only.
+// checkInvariants runs the opt-in self-checks: controller accounting,
+// request and request-pool conservation, MSHR occupancy bounds and slab
+// accounting, and STFM register finiteness. All checks are read-only.
 func (s *System) checkInvariants() error {
 	if err := s.ctrl.CheckInvariants(); err != nil {
 		return &SimError{Cycle: s.now, Check: "memctrl", Err: err}
@@ -954,6 +955,9 @@ func (s *System) checkInvariants() error {
 		if n := h.OutstandingMisses(); n < 0 || n > s.cfg.MSHRs {
 			return &SimError{Cycle: s.now, Check: "mshr",
 				Err: fmt.Errorf("thread %d hierarchy has %d outstanding misses (MSHRs=%d)", i, n, s.cfg.MSHRs)}
+		}
+		if err := h.CheckInvariants(); err != nil {
+			return &SimError{Cycle: s.now, Check: "mshr", Err: err}
 		}
 	}
 	if s.stfm != nil {
@@ -1006,28 +1010,37 @@ func RunContext(ctx context.Context, cfg Config, profiles []trace.Profile) (*Res
 }
 
 // directPort adapts the memory controller as a core's Memory port for
-// miss-stream mode: every load is by construction an L2 miss.
+// miss-stream mode: every load is by construction an L2 miss. It owns
+// its read requests (memctrl.Completer) and forwards the core's load
+// tag through the controller unchanged, so a load costs no closure.
 type directPort struct {
 	ctrl        *memctrl.Controller
+	sink        cpu.LoadSink
 	thread      int
 	mshrs       int
 	outstanding int
 }
 
+// SetLoadSink implements cpu.Memory.
+func (p *directPort) SetLoadSink(sink cpu.LoadSink) { p.sink = sink }
+
 // Load implements cpu.Memory.
-func (p *directPort) Load(now int64, lineAddr uint64, done func(int64)) (accepted, l2Miss bool) {
+func (p *directPort) Load(now int64, lineAddr uint64, tag int64) (accepted, l2Miss bool) {
 	if p.outstanding >= p.mshrs {
 		return false, true
 	}
-	ok := p.ctrl.EnqueueRead(now, p.thread, lineAddr, func(at int64) {
-		p.outstanding--
-		done(at)
-	})
-	if !ok {
+	if !p.ctrl.EnqueueRead(now, p.thread, lineAddr, p, tag) {
 		return false, true
 	}
 	p.outstanding++
 	return true, true
+}
+
+// Complete implements memctrl.Completer: the read for the core's load
+// tag finished at cycle at.
+func (p *directPort) Complete(tag, at int64) {
+	p.outstanding--
+	p.sink.LoadDone(tag, at)
 }
 
 // Store implements cpu.Memory.
