@@ -39,12 +39,6 @@ type Options struct {
 	// Geometry / Timing override the DRAM organization (Table 5).
 	Geometry *dram.Geometry
 	Timing   *dram.Timing
-	// Parallel selects the channel-parallel stepping engine for every
-	// run (sim.Config.Parallel): 0/1 serial, negative auto-sized to
-	// GOMAXPROCS. Schedule-neutral — results and alone baselines are
-	// bit-identical either way (DESIGN.md §16) — so it does not enter
-	// the baseline key (sim.Config.Fingerprint excludes it).
-	Parallel int
 	// BaselineDir spills alone-run baselines to a persistent
 	// content-addressed store (DESIGN.md §18): runners and processes
 	// pointed at the same directory share one alone-run fleet instead of
@@ -150,7 +144,6 @@ func (r *Runner) baseConfig(policy sim.PolicyKind, cores int) sim.Config {
 	cfg.Channels = r.opts.Channels
 	cfg.Geometry = r.opts.Geometry
 	cfg.Timing = r.opts.Timing
-	cfg.Parallel = r.opts.Parallel
 	return cfg
 }
 
@@ -195,9 +188,9 @@ type WorkloadResult struct {
 	// (Result.Threads == Shared). Fork-amortized matrix cells being
 	// bit-identical to their cold scratch oracle is asserted against
 	// this field (stfm-bench -suite matrix).
-	Result *sim.Result
-	AloneMCPI  []float64
-	AloneIPC   []float64
+	Result    *sim.Result
+	AloneMCPI []float64
+	AloneIPC  []float64
 	// Slowdowns are the per-thread memory slowdowns
 	// (MCPI_shared / MCPI_alone).
 	Slowdowns []float64

@@ -513,7 +513,7 @@ func (r *Runner) runForkGroup(mix workloads.Mix, policies []sim.PolicyKind, muta
 	var errs []error
 	for _, pol := range policies {
 		pol := pol
-		forked, err := sim.Restore(snap, &sim.RestoreOptions{Policy: &pol, Parallel: &r.opts.Parallel})
+		forked, err := sim.Restore(snap, &sim.RestoreOptions{Policy: &pol})
 		if err != nil {
 			errs = append(errs, &JobError{Mix: mix.Name, Policy: pol, Err: err})
 			continue
@@ -679,7 +679,6 @@ func table5(mixCount int) func(*Runner) (*Report, error) {
 				MinMisses:   r.opts.MinMisses,
 				Seed:        r.opts.Seed,
 				Geometry:    &geom,
-				Parallel:    r.opts.Parallel,
 				Baseline:    r.baseline,
 			})
 			res, err := sub.RunMatrix(mixes, []sim.PolicyKind{sim.PolicyFRFCFS, sim.PolicySTFM}, nil)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"stfm/internal/dram"
@@ -11,44 +12,58 @@ import (
 	"stfm/internal/telemetry"
 )
 
-// These tests pin the channel-parallel stepping engine's core contract
-// (DESIGN.md §16): Config.Parallel changes how an edge is computed —
-// never what it computes. Every run below must be bit-identical to its
-// serial twin, because phase B commits decisions serially in channel
-// order and re-arbitrates any channel whose cross-channel inputs moved.
+// These tests pin run-level parallelism, the only parallelism the
+// simulator has: the RunMatrix worker pool and the service workers
+// execute independent runs on concurrent goroutines, and every such
+// run must be bit-identical to the same run executed alone. A run may
+// share nothing mutable with its neighbours — not its profiles, not a
+// package-level pool or cache — so a leak between concurrent runs
+// diverges here.
 
-// parallelTwinRun executes cfg serially and in parallel (worker budget
-// pinned above the channel count so the parallel path engages even on a
-// single-CPU host) and fails the test unless the Results are
-// DeepEqual. It returns the serial result for further assertions.
+// concurrentCopies is how many copies of a run execute at once.
+const concurrentCopies = 3
+
+// parallelTwinRun executes cfg alone, then concurrentCopies copies of
+// it at once on separate goroutines sharing the same profiles, and
+// fails the test unless every concurrent Result is DeepEqual to the
+// lone one. It returns the lone result for further assertions.
 func parallelTwinRun(t *testing.T, cfg sim.Config, names []string) *sim.Result {
 	t.Helper()
 	profiles, err := Profiles(names...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Parallel = 0
-	serial, err := sim.Run(cfg, profiles)
+	alone, err := sim.Run(cfg, profiles)
 	if err != nil {
-		t.Fatalf("serial run: %v", err)
+		t.Fatalf("lone run: %v", err)
 	}
-	cfg.Parallel = 16
-	par, err := sim.Run(cfg, profiles)
-	if err != nil {
-		t.Fatalf("parallel run: %v", err)
+	results := make([]*sim.Result, concurrentCopies)
+	errs := make([]error, concurrentCopies)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = sim.Run(cfg, profiles)
+		}(i)
 	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("serial and parallel results diverge\nserial:   %+v\nparallel: %+v", serial, par)
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("concurrent run %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(alone, res) {
+			t.Errorf("concurrent run %d diverges from the lone run\nalone:      %+v\nconcurrent: %+v", i, alone, res)
+		}
 	}
-	return serial
+	return alone
 }
 
 // TestParallelEquivalence runs every implemented scheduler on a
-// multi-channel mix three ways — dense, event-serial, event-parallel —
-// and requires all three Results to match. The write-heavy GemsFDTD
-// stream matters here: write-drain hysteresis is the global coupling
-// the parallel engine must revalidate per channel in phase B, and a
-// missed revalidation diverges on exactly this kind of mix.
+// multi-channel mix dense, event-driven alone, and event-driven
+// alongside concurrent copies, and requires all Results to match. The
+// write-heavy GemsFDTD stream exercises write-drain hysteresis, the
+// controller state most likely to be disturbed by anything shared.
 func TestParallelEquivalence(t *testing.T) {
 	t.Parallel()
 	mix := []string{"mcf", "libquantum", "GemsFDTD", "astar"}
@@ -78,12 +93,9 @@ func TestParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelEquivalenceProtocols extends the serial-vs-parallel
+// TestParallelEquivalenceProtocols extends the lone-vs-concurrent
 // differential across all five protocol packs × every implemented
-// scheduler, with refresh enabled on the per-bank packs (refresh is the
-// one channel mutation phase A performs before arbitrating, so it must
-// be covered). The full matrix is the PR's acceptance gate; -short
-// keeps a single pack per refresh mode.
+// scheduler. -short keeps a single pack.
 func TestParallelEquivalenceProtocols(t *testing.T) {
 	t.Parallel()
 	mix := []string{"mcf", "libquantum", "GemsFDTD", "astar"}
@@ -106,10 +118,10 @@ func TestParallelEquivalenceProtocols(t *testing.T) {
 	}
 }
 
-// TestParallelEquivalenceRefresh covers the refresh-in-phase-A path:
-// HBM's rotating per-bank refresh makes channels active on refresh
-// deadlines even when their queues are quiet, which is the decSkip
-// branch of the parallel engine.
+// TestParallelEquivalenceRefresh covers per-bank refresh: HBM's
+// rotating refresh makes channels active on refresh deadlines even
+// when their queues are quiet, and that schedule must not depend on
+// what else the process is running.
 func TestParallelEquivalenceRefresh(t *testing.T) {
 	t.Parallel()
 	tm, err := dram.PresetTiming(dram.HBM)
@@ -125,49 +137,29 @@ func TestParallelEquivalenceRefresh(t *testing.T) {
 	parallelTwinRun(t, cfg, []string{"mcf", "libquantum"})
 }
 
-// TestParallelEquivalenceGOMAXPROCS pins that the schedule is
-// independent of how many CPUs the Go scheduler actually grants: under
-// GOMAXPROCS=1 the Tick goroutine steals every phase-A task itself
-// (the workers never run), and under GOMAXPROCS=NumCPU the work
-// spreads, but phase B's serial commit makes both produce the serial
+// TestParallelEquivalenceGOMAXPROCS pins that concurrent runs are
+// independent of how many CPUs the Go scheduler grants: under
+// GOMAXPROCS=1 the copies interleave on one thread, under
+// GOMAXPROCS=NumCPU they spread, and both must reproduce the lone
 // Result bit for bit. Not t.Parallel: it flips a process-global knob.
 func TestParallelEquivalenceGOMAXPROCS(t *testing.T) {
 	mix := []string{"mcf", "libquantum", "GemsFDTD", "astar"}
-	profiles, err := Profiles(mix...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.DefaultConfig(sim.PolicySTFM, len(profiles))
+	cfg := sim.DefaultConfig(sim.PolicySTFM, len(mix))
 	cfg.InstrTarget = 12_000
 	cfg.MinMisses = 30
-	serial, err := sim.Run(cfg, profiles)
-	if err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
 	for _, procs := range []int{1, runtime.NumCPU()} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			old := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(old)
-			pcfg := cfg
-			pcfg.Parallel = -1 // auto: size the pool to GOMAXPROCS
-			par, err := sim.Run(pcfg, profiles)
-			if err != nil {
-				t.Fatalf("parallel run (GOMAXPROCS=%d): %v", procs, err)
-			}
-			if !reflect.DeepEqual(serial, par) {
-				t.Errorf("GOMAXPROCS=%d parallel result diverges from serial\nserial:   %+v\nparallel: %+v",
-					procs, serial, par)
-			}
+			parallelTwinRun(t, cfg, mix)
 		})
 	}
 }
 
-// TestParallelTelemetryEquivalence requires the parallel engine to
-// capture the *same telemetry* as the serial one, not just the same
-// Result: identical interval samples and an identical event ring.
-// Tracer records happen only in phase B's serial commit, so event
-// order — including priority-inversion marks — must survive the
-// engine swap exactly.
+// TestParallelTelemetryEquivalence requires concurrent runs to capture
+// the same telemetry as a lone run, not just the same Result: identical
+// interval samples and an identical event ring, each run recording into
+// its own Collector.
 func TestParallelTelemetryEquivalence(t *testing.T) {
 	t.Parallel()
 	profiles, err := Profiles("mcf", "h264ref", "GemsFDTD", "astar")
@@ -178,41 +170,61 @@ func TestParallelTelemetryEquivalence(t *testing.T) {
 	base.InstrTarget = 15_000
 	base.MinMisses = 40
 
-	run := func(parallel int) (*sim.Result, *telemetry.Collector) {
+	run := func() (*sim.Result, *telemetry.Collector, error) {
 		cfg := base
-		cfg.Parallel = parallel
 		col := telemetry.New(telemetry.Options{SampleEvery: 500, TraceCap: 1 << 14})
 		cfg.Telemetry = col
 		res, err := sim.Run(cfg, profiles)
-		if err != nil {
-			t.Fatalf("run(parallel=%d): %v", parallel, err)
-		}
-		return res, col
+		return res, col, err
 	}
-	serialRes, serialCol := run(0)
-	parRes, parCol := run(16)
-
-	if !reflect.DeepEqual(serialRes, parRes) {
-		t.Errorf("results diverge with telemetry on\nserial:   %+v\nparallel: %+v", serialRes, parRes)
+	aloneRes, aloneCol, err := run()
+	if err != nil {
+		t.Fatalf("lone run: %v", err)
 	}
-	ss, ps := serialCol.Series.Samples(), parCol.Series.Samples()
-	if len(ss) == 0 {
+	as, ae := aloneCol.Series.Samples(), aloneCol.Tracer.Events()
+	if len(as) == 0 {
 		t.Fatal("no samples collected")
 	}
-	if !reflect.DeepEqual(ss, ps) {
-		t.Fatalf("interval samples diverge: serial %d samples, parallel %d", len(ss), len(ps))
-	}
-	se, pe := serialCol.Tracer.Events(), parCol.Tracer.Events()
-	if len(se) == 0 {
+	if len(ae) == 0 {
 		t.Fatal("no events traced")
 	}
-	if !reflect.DeepEqual(se, pe) {
-		limit := min(len(se), len(pe))
-		for i := 0; i < limit; i++ {
-			if !reflect.DeepEqual(se[i], pe[i]) {
-				t.Fatalf("trace event %d diverges\nserial:   %+v\nparallel: %+v", i, se[i], pe[i])
-			}
+
+	type outcome struct {
+		res *sim.Result
+		col *telemetry.Collector
+		err error
+	}
+	outs := make([]outcome, concurrentCopies)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, col, err := run()
+			outs[i] = outcome{res, col, err}
+		}(i)
+	}
+	wg.Wait()
+
+	for i, o := range outs {
+		if o.err != nil {
+			t.Fatalf("concurrent run %d: %v", i, o.err)
 		}
-		t.Fatalf("trace lengths diverge: serial %d, parallel %d", len(se), len(pe))
+		if !reflect.DeepEqual(aloneRes, o.res) {
+			t.Errorf("concurrent run %d: results diverge with telemetry on\nalone:      %+v\nconcurrent: %+v", i, aloneRes, o.res)
+		}
+		if cs := o.col.Series.Samples(); !reflect.DeepEqual(as, cs) {
+			t.Fatalf("concurrent run %d: interval samples diverge: alone %d samples, concurrent %d", i, len(as), len(cs))
+		}
+		ce := o.col.Tracer.Events()
+		if !reflect.DeepEqual(ae, ce) {
+			limit := min(len(ae), len(ce))
+			for j := 0; j < limit; j++ {
+				if !reflect.DeepEqual(ae[j], ce[j]) {
+					t.Fatalf("concurrent run %d: trace event %d diverges\nalone:      %+v\nconcurrent: %+v", i, j, ae[j], ce[j])
+				}
+			}
+			t.Fatalf("concurrent run %d: trace lengths diverge: alone %d, concurrent %d", i, len(ae), len(ce))
+		}
 	}
 }

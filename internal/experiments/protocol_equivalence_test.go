@@ -8,18 +8,19 @@ import (
 	"stfm/internal/sim"
 )
 
-// TestProtocolEquivalence extends the dense-vs-event differential test
-// to the protocol packs whose timing rules did not exist when the
-// event engine was written: DDR4 (bank groups, tCCD_L/tCCD_S) and HBM
-// (bank groups plus doubled channels). Every implemented scheduler must
-// produce bit-identical Results under dense per-cycle ticking and
-// event-driven jumping — the bank-group CAS spacing feeds
-// CommandReadyAt, so a horizon that under-reports it would make the
-// event engine issue early and diverge here.
+// TestProtocolEquivalence runs the dense-vs-event differential test
+// across every protocol pack — DDR2, DDR3, GDDR5, and the packs whose
+// timing rules did not exist when the event engine was written: DDR4
+// (bank groups, tCCD_L/tCCD_S) and HBM (bank groups plus doubled
+// channels). Every implemented scheduler must produce bit-identical
+// Results under dense per-cycle ticking and event-driven jumping — the
+// bank-group CAS spacing feeds CommandReadyAt, so a horizon that
+// under-reports it would make the event engine issue early and diverge
+// here.
 func TestProtocolEquivalence(t *testing.T) {
 	t.Parallel()
 	mix := []string{"mcf", "libquantum", "GemsFDTD", "astar"}
-	for _, proto := range []dram.Protocol{dram.DDR4, dram.HBM} {
+	for _, proto := range dram.Protocols() {
 		for _, pol := range sim.ExtendedPolicies() {
 			proto, pol := proto, pol
 			t.Run(string(proto)+"/"+string(pol), func(t *testing.T) {

@@ -22,16 +22,13 @@ func (c *Controller) EnqueuedReads() int64 { return c.enqueuedReads }
 func (c *Controller) EnqueuedWrites() int64 { return c.enqueuedWrites }
 
 // InFlight returns the number of requests whose column access has
-// issued and whose completion is pending, split by kind, summed over
-// the per-channel in-flight lists.
+// issued and whose completion is pending, split by kind.
 func (c *Controller) InFlight() (reads, writes int) {
-	for i := range c.chState {
-		for _, r := range c.chState[i].inFlight {
-			if r.IsWrite {
-				writes++
-			} else {
-				reads++
-			}
+	for _, r := range c.inFlight {
+		if r.IsWrite {
+			writes++
+		} else {
+			reads++
 		}
 	}
 	return reads, writes
@@ -187,14 +184,6 @@ func (c *Controller) CheckInvariants() error {
 			return fmt.Errorf("memctrl: thread %d has negative in-service bank count %d", t, c.inServiceBanks[t])
 		}
 	}
-	for ch := range c.chState {
-		for _, r := range c.chState[ch].inFlight {
-			if r.Loc.Channel != ch {
-				return fmt.Errorf("memctrl: in-flight request %d for channel %d filed under channel %d",
-					r.ID, r.Loc.Channel, ch)
-			}
-		}
-	}
 	for ch := range c.reserved {
 		for b, r := range c.reserved[ch] {
 			if r != nil && (r.ID == 0 || r.CASIssued) {
@@ -220,7 +209,7 @@ func (c *Controller) CheckInvariants() error {
 // checkPool verifies the request pool's conservation identity and that
 // no live structure holds a released (zeroed) request.
 func (c *Controller) checkPool() error {
-	live := c.queuedReads + c.queuedWrites + c.inFlightTotal()
+	live := c.queuedReads + c.queuedWrites + len(c.inFlight)
 	if got := live + len(c.free); got != c.pooled {
 		return fmt.Errorf("memctrl: pool conservation violated: %d requests pooled, but queued+inflight+free = %d",
 			c.pooled, got)
@@ -240,11 +229,9 @@ func (c *Controller) checkPool() error {
 			}
 		}
 	}
-	for ch := range c.chState {
-		for _, r := range c.chState[ch].inFlight {
-			if r.ID == 0 {
-				return fmt.Errorf("memctrl: channel %d holds a released request in flight", ch)
-			}
+	for _, r := range c.inFlight {
+		if r.ID == 0 {
+			return fmt.Errorf("memctrl: the in-flight list holds a released request")
 		}
 	}
 	return nil
@@ -293,7 +280,7 @@ func (c *Controller) Snapshot(now int64) Snapshot {
 		Cycle:        now,
 		QueuedReads:  c.queuedReads,
 		QueuedWrites: c.queuedWrites,
-		InFlight:     c.inFlightTotal(),
+		InFlight:     len(c.inFlight),
 	}
 	snap := func(r *Request) RequestSnapshot {
 		return RequestSnapshot{

@@ -291,3 +291,51 @@ func TestRowReservation(t *testing.T) {
 		t.Errorf("command sequence = %v, want [ACT RD PRE ACT ...]", sequence)
 	}
 }
+
+// TestMergeOrderAcrossChannels pins the completion order of the one
+// in-flight list: requests on different channels that complete in the
+// same cycle must notify their owners in (CompleteAt, then arrival ID)
+// order. Channel 1 gets every odd (older) ID and channel 0 every even
+// one, so each lockstep issue edge appends channel 0's younger request
+// to the in-flight list ahead of channel 1's older one; firing in list
+// order would notify the younger request first and fail.
+func TestMergeOrderAcrossChannels(t *testing.T) {
+	cfg := memctrl.DefaultConfig(2, 2)
+	c, err := memctrl.NewController(cfg, policy.NewFRFCFS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type fire struct{ at, id, ch int64 }
+	var fired []fire
+	// Tags mirror the controller's arrival IDs, which count enqueues
+	// from 1: channel 1 gets 1,3,5,7 and channel 0 gets 2,4,6,8.
+	var tag int64
+	for bank := 0; bank < 4; bank++ {
+		for _, ch := range []int{1, 0} {
+			ch := int64(ch)
+			tag++
+			line := cfg.Geometry.LineAddr(dram.Location{Channel: int(ch), Bank: bank, Row: 1})
+			owner := memctrl.CompleteFunc(func(id, at int64) { fired = append(fired, fire{at, id, ch}) })
+			if !c.EnqueueRead(0, int(ch), line, owner, tag) {
+				t.Fatal("enqueue failed")
+			}
+		}
+	}
+	c.Drain(0)
+	if len(fired) != 8 {
+		t.Fatalf("fired %d completions, want 8", len(fired))
+	}
+	crossChannel := false
+	for i := 1; i < len(fired); i++ {
+		a, b := fired[i-1], fired[i]
+		if a.at > b.at || (a.at == b.at && a.id > b.id) {
+			t.Fatalf("completion order %v is not (CompleteAt, ID) order", fired)
+		}
+		if a.at == b.at && a.ch != b.ch {
+			crossChannel = true
+		}
+	}
+	if !crossChannel {
+		t.Fatalf("no same-cycle completions across channels in %v; the test no longer exercises the merge", fired)
+	}
+}

@@ -128,9 +128,8 @@ func TestCompleteFinishedDeterministicOrder(t *testing.T) {
 	}
 	// Buffer layout deliberately scrambled: neither CompleteAt- nor
 	// ID-sorted, with two same-cycle clusters (cycle 5 and cycle 7) and
-	// one not-yet-due request that must survive untouched. (Zero-value
-	// Loc puts every request on channel 0's in-flight list.)
-	inFlight := &c.chState[0].inFlight
+	// one not-yet-due request that must survive untouched.
+	inFlight := &c.inFlight
 	*inFlight = append((*inFlight)[:0],
 		mk(9, 7), mk(2, 5), mk(30, 900), mk(7, 5), mk(1, 7), mk(4, 3),
 	)

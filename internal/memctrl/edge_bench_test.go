@@ -180,14 +180,11 @@ func BenchmarkCompleteFinished(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for ch := range c.chState {
-					c.chState[ch].inFlight = c.chState[ch].inFlight[:0]
-				}
+				c.inFlight = c.inFlight[:0]
 				c.free = c.free[:0]
 				for j, r := range reqs {
 					*r = tmpl[j]
-					cs := &c.chState[r.Loc.Channel]
-					cs.inFlight = append(cs.inFlight, r)
+					c.inFlight = append(c.inFlight, r)
 				}
 				c.completeFinished(1000)
 			}

@@ -9,7 +9,7 @@ import (
 // DefaultMarkingCap is PAR-BS's per-thread per-bank marking cap.
 const DefaultMarkingCap = 5
 
-// PARBS implements Parallelism-Aware Batch Scheduling (Mutlu &
+// PARBS implements parallelism-aware batch scheduling (Mutlu &
 // Moscibroda, ISCA 2008) — the authors' follow-up to STFM and the
 // natural "future work" extension of this reproduction. It is not one
 // of the five schedulers the MICRO 2007 paper evaluates.

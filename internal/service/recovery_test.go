@@ -2,9 +2,13 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -167,6 +171,101 @@ func TestRecoveryResumesFromCheckpoint(t *testing.T) {
 	if !reflect.DeepEqual(rr.Result, want) {
 		t.Error("resumed result differs from the uninterrupted run")
 	}
+}
+
+// TestRecoveryReplaysRetiredParallelKnob: journals written while
+// sim.Config still had a "parallel" engine knob must keep replaying.
+// The submit record's config gains "parallel": 4 (re-checksummed, as
+// the old server wrote it); the restarted server must decode it, resume
+// the job to done with the uninterrupted result, and keep the job's
+// fingerprint.
+func TestRecoveryReplaysRetiredParallelKnob(t *testing.T) {
+	dir := t.TempDir()
+	cfg := quickConfig(15)
+	workload := []string{"mcf", "libquantum"}
+	want := referenceResult(t, cfg, workload)
+
+	chaos := NewChaos(ChaosRule{Point: "checkpoint.write", Visit: 3, Action: ActionCrash})
+	srv1, err := New(Options{Workers: 1, JournalDir: dir, CheckpointEvery: 40_000, Chaos: chaos})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := submitOne(t, srv1, cfg, workload)
+	before, _ := srv1.Job(id)
+	waitCrashed(t, srv1, chaos, "checkpoint.write", 3)
+
+	path := filepath.Join(dir, walName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	injected := 0
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if line == "" {
+			continue
+		}
+		rec, err := decodeWALLine(strings.TrimSuffix(line, "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type == walSubmit {
+			line = injectParallel(t, line[sha256.Size*2+1:len(line)-1])
+			injected++
+		}
+		out = append(out, line...)
+	}
+	if injected != 1 {
+		t.Fatalf("rewrote %d submit records, want 1", injected)
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, err := New(Options{Workers: 1, JournalDir: dir, CheckpointEvery: 40_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainServer(t, srv2)
+	info := waitServerDone(t, srv2, id)
+	if info.Status != StatusDone {
+		t.Fatalf("recovered job finished %s (error %q), want done", info.Status, info.Error)
+	}
+	if info.ResumedFromCycle != 80_000 {
+		t.Errorf("job resumed from cycle %d, want 80000 (the second checkpoint)", info.ResumedFromCycle)
+	}
+	if info.Fingerprint != before.Fingerprint {
+		t.Errorf("fingerprint after replay = %s, want %s", info.Fingerprint, before.Fingerprint)
+	}
+	rr, _ := srv2.Result(id)
+	if !reflect.DeepEqual(rr.Result, want) {
+		t.Error("replayed result differs from the uninterrupted run")
+	}
+}
+
+// injectParallel adds "parallel": 4 to a submit record's config and
+// returns the re-checksummed journal line.
+func injectParallel(t *testing.T, payload string) string {
+	t.Helper()
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(payload), &rec); err != nil {
+		t.Fatal(err)
+	}
+	var config map[string]json.RawMessage
+	if err := json.Unmarshal(rec["config"], &config); err != nil {
+		t.Fatal(err)
+	}
+	config["parallel"] = json.RawMessage("4")
+	var err error
+	if rec["config"], err = json.Marshal(config); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(body)
+	return hex.EncodeToString(sum[:]) + " " + string(body) + "\n"
 }
 
 // TestRecoveryCorruptCheckpointQuarantined: the only persisted

@@ -73,17 +73,6 @@ type Options struct {
 	// Chaos installs the deterministic fault-injection harness on the
 	// server's durability paths; nil runs fault-free. Test use.
 	Chaos *Chaos
-	// JobParallel caps each job's channel-parallel stepping workers
-	// (sim.Config.Parallel, DESIGN.md §16) so jobs cannot oversubscribe
-	// a host already running Workers simultaneous simulations: a job
-	// requesting more is clamped, and a job requesting auto (-1)
-	// receives the cap. 0 derives the cap by dividing the host's CPUs
-	// among the worker pool (max(1, GOMAXPROCS/Workers)); negative
-	// leaves job requests uncapped. Clamping is result-neutral — the
-	// parallel engine is bit-identical at any worker count — which is
-	// also why the result cache may serve a serial run's entry for a
-	// parallel request.
-	JobParallel int
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -137,9 +126,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.SampleEvery == 0 {
 		opts.SampleEvery = 5000
-	}
-	if opts.JobParallel == 0 {
-		opts.JobParallel = max(1, runtime.GOMAXPROCS(0)/opts.Workers)
 	}
 	cache, err := NewCache(opts.CacheDir)
 	if err != nil {
@@ -607,13 +593,6 @@ func (s *Server) runJob(j *job) (crashed bool) {
 		j.col = telemetry.New(telemetry.Options{SampleEvery: s.opts.SampleEvery})
 		cfg.Telemetry = j.col
 	}
-	// Cap the job's stepping parallelism by the pool-derived budget so
-	// Workers concurrent jobs cannot oversubscribe the host. Neutral to
-	// the result (and the cache key): the parallel engine's schedule is
-	// bit-identical at any worker count.
-	if cap := s.opts.JobParallel; cap > 0 && (cfg.Parallel < 0 || cfg.Parallel > cap) {
-		cfg.Parallel = cap
-	}
 	j.status = StatusRunning
 	j.cancel = cancel
 	j.startedAt = time.Now()
@@ -717,7 +696,7 @@ const defaultCheckpointEvery = 250_000
 func (s *Server) execute(ctx context.Context, j *job, cfg sim.Config) (*sim.Result, error) {
 	sink := s.checkpointSink(j)
 	if j.resumeFrom != "" {
-		if sys := s.restoreSystem(j, cfg); sys != nil {
+		if sys := s.restoreSystem(j); sys != nil {
 			if sink != nil {
 				return sys.RunCheckpointed(ctx, sink)
 			}
@@ -734,7 +713,7 @@ func (s *Server) execute(ctx context.Context, j *job, cfg sim.Config) (*sim.Resu
 			s.logf("job %s: fork warm-up failed, running cold: %v", j.id, err)
 		} else {
 			pol := cfg.Policy
-			sys, rerr := sim.Restore(snap, &sim.RestoreOptions{Telemetry: j.col, Parallel: &cfg.Parallel, Policy: &pol})
+			sys, rerr := sim.Restore(snap, &sim.RestoreOptions{Telemetry: j.col, Policy: &pol})
 			if rerr != nil {
 				s.logf("job %s: fork snapshot rejected, running cold: %v", j.id, rerr)
 			} else {
@@ -763,13 +742,13 @@ func (s *Server) execute(ctx context.Context, j *job, cfg sim.Config) (*sim.Resu
 // quarantines the artifact as .corrupt and returns nil so the caller
 // reruns from scratch: a damaged checkpoint costs recomputation, never
 // a wrong result and never a lost job.
-func (s *Server) restoreSystem(j *job, cfg sim.Config) *sim.System {
+func (s *Server) restoreSystem(j *job) *sim.System {
 	data, err := os.ReadFile(j.resumeFrom)
 	if err != nil {
 		s.logf("job %s: checkpoint unreadable, running from scratch: %v", j.id, err)
 		return nil
 	}
-	sys, err := sim.Restore(data, &sim.RestoreOptions{Telemetry: j.col, Parallel: &cfg.Parallel})
+	sys, err := sim.Restore(data, &sim.RestoreOptions{Telemetry: j.col})
 	if err != nil {
 		if qerr := quarantine(j.resumeFrom); qerr != nil {
 			s.logf("job %s: %v", j.id, qerr)
@@ -865,20 +844,16 @@ func atomicWrite(path string, data []byte) error {
 type Stats struct {
 	UptimeSeconds float64 `json:"uptimeSeconds"`
 	Workers       int     `json:"workers"`
-	// JobParallel is the per-job stepping-worker cap applied to every
-	// executed job's Config.Parallel (Options.JobParallel; negative
-	// means uncapped).
-	JobParallel   int   `json:"jobParallel"`
-	Running       int   `json:"running"`
-	QueueDepth    int   `json:"queueDepth"`
-	QueueCapacity int   `json:"queueCapacity"`
-	Submitted     int64 `json:"submitted"`
-	Completed     int64 `json:"completed"`
-	Failed        int64 `json:"failed"`
-	Canceled      int64 `json:"canceled"`
-	CacheEntries  int   `json:"cacheEntries"`
-	CacheHits     int64 `json:"cacheHits"`
-	CacheMisses   int64 `json:"cacheMisses"`
+	Running       int     `json:"running"`
+	QueueDepth    int     `json:"queueDepth"`
+	QueueCapacity int     `json:"queueCapacity"`
+	Submitted     int64   `json:"submitted"`
+	Completed     int64   `json:"completed"`
+	Failed        int64   `json:"failed"`
+	Canceled      int64   `json:"canceled"`
+	CacheEntries  int     `json:"cacheEntries"`
+	CacheHits     int64   `json:"cacheHits"`
+	CacheMisses   int64   `json:"cacheMisses"`
 	// Job wall-time distribution in milliseconds (power-of-two bucket
 	// resolution, reusing the memctrl latency histogram).
 	JobP50Ms int64 `json:"jobP50Ms"`
@@ -917,10 +892,9 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Baseline: baseline,
+		Baseline:      baseline,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Workers:       s.opts.Workers,
-		JobParallel:   s.opts.JobParallel,
 		Running:       s.running,
 		QueueDepth:    s.queue.Depth(),
 		QueueCapacity: s.queue.Cap(),

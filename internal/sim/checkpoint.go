@@ -30,8 +30,7 @@ import (
 // continues bit-identically (TestCheckpointRestoreEquivalence).
 //
 // What is deliberately NOT checkpointed: scheduling memos and cache
-// epochs (recomputed, schedule-neutral by construction), the parallel
-// engine's worker pool (an engine knob, rebuilt per run), telemetry
+// epochs (recomputed, schedule-neutral by construction), telemetry
 // buffers (observers), and completion owners (re-derived on restore:
 // every pending completion is an owner plus an integer tag, and the
 // tags are the window entries' issue sequence numbers or MSHR slots,
@@ -130,14 +129,18 @@ func (s *System) Checkpoint() ([]byte, error) {
 	if err != nil {
 		return nil, &CheckpointError{Stage: "save", Err: err}
 	}
+	return encodeCheckpoint(payload), nil
+}
+
+// encodeCheckpoint wraps a JSON payload in the checkpoint envelope.
+func encodeCheckpoint(payload []byte) []byte {
 	buf := make([]byte, 0, ckptHeaderLen+len(payload)+sha256.Size)
 	buf = append(buf, checkpointMagic...)
 	buf = binary.BigEndian.AppendUint32(buf, checkpointVersion)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
 	sum := sha256.Sum256(payload)
-	buf = append(buf, sum[:]...)
-	return buf, nil
+	return append(buf, sum[:]...)
 }
 
 // decodeCheckpoint verifies the envelope and unmarshals the payload.
@@ -177,11 +180,6 @@ type RestoreOptions struct {
 	// Telemetry re-attaches a collector (checkpoints do not carry
 	// telemetry buffers; a restored run's series restarts empty).
 	Telemetry *telemetry.Collector
-	// Parallel, if non-nil, overrides the saved engine parallelism.
-	// The engine knob is schedule-neutral, so restoring a checkpoint
-	// from a serial run onto the parallel engine (or vice versa) still
-	// continues bit-identically.
-	Parallel *int
 	// Policy, if non-nil, forks the checkpoint under a different
 	// scheduler: the machine state (queues, banks, cores, generators) is
 	// restored exactly, but the scheduler is a FRESH instance of the
@@ -222,9 +220,6 @@ func Restore(data []byte, opts *RestoreOptions) (sys *System, err error) {
 	forked := false
 	if opts != nil {
 		cfg.Telemetry = opts.Telemetry
-		if opts.Parallel != nil {
-			cfg.Parallel = *opts.Parallel
-		}
 		if opts.Policy != nil {
 			forked = true
 			cfg.Policy = *opts.Policy
@@ -409,7 +404,6 @@ func (s *System) CheckpointAt(ctx context.Context, cycle int64) (data []byte, er
 			err = &SimError{Cycle: s.now, Check: "panic", Err: panicErr(v), Stack: debug.Stack()}
 		}
 	}()
-	defer s.ctrl.StopWorkers()
 	if cycle < 0 {
 		return nil, ckptErr("save", "negative checkpoint cycle %d", cycle)
 	}

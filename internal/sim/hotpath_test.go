@@ -63,9 +63,8 @@ func TestRunLoopZeroAllocs(t *testing.T) {
 // TestPoolConservationAcrossPolicies runs every scheduler with the
 // self-checks on — including the request-pool identity (pooled equals
 // queued plus in flight plus free, every free request zeroed) and the
-// MSHR slab accounting — with the command tracer attached and the
-// channel-parallel engine driving the controller, and requires each
-// checked run to reproduce the plain run bit for bit.
+// MSHR slab accounting — with the command tracer attached, and
+// requires each checked run to reproduce the plain run bit for bit.
 func TestPoolConservationAcrossPolicies(t *testing.T) {
 	for _, pol := range ExtendedPolicies() {
 		for _, caches := range []bool{false, true} {
@@ -86,7 +85,6 @@ func TestPoolConservationAcrossPolicies(t *testing.T) {
 				checked := cfg
 				checked.CheckInvariants = true
 				checked.WatchdogCycles = 2_000 // a self-check every 2000 cycles
-				checked.Parallel = 2
 				checked.Telemetry = telemetry.New(telemetry.Options{TraceCap: 1 << 12})
 				got, err := RunContext(context.Background(), checked, profilesByName(t, names...))
 				if err != nil {
@@ -138,7 +136,7 @@ func TestRestoreParentSnapshots(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := resumeFrom(t, data, nil)
+			got := resumeFrom(t, data)
 			assertResultsEqual(t, "resumed parent snapshot", got, ref)
 		})
 	}
