@@ -1,10 +1,11 @@
 // Package docgate enforces the documentation contract on the packages
 // whose exported API the engine work keeps growing: every exported
-// identifier in internal/memctrl (and its policy subpackage) and
-// internal/sim must carry a doc comment, so contracts like ordering
-// epochs and completion order are stated where the identifier is
-// declared, not reverse-engineered from call sites. CI runs this test
-// as its doc gate.
+// identifier in internal/memctrl (and its policy subpackage),
+// internal/sim and internal/store must carry a doc comment, so
+// contracts like ordering epochs, completion order and the spill
+// format are stated where the identifier is declared, not
+// reverse-engineered from call sites. CI runs this test as its doc
+// gate.
 package docgate
 
 import (
@@ -23,6 +24,7 @@ var gatedPackages = []string{
 	"../memctrl",
 	"../memctrl/policy",
 	"../sim",
+	"../store",
 }
 
 // TestExportedIdentifiersDocumented parses every non-test file of the

@@ -1,47 +1,27 @@
 package experiments
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"stfm/internal/sim"
+	"stfm/internal/store"
 )
 
 // BaselineStore is the content-addressed store of alone-run baseline
-// Results (the Talone denominators of Section 6.2). Every slowdown
-// computation in the experiment matrix needs the same few dozen alone
-// runs, so the store deduplicates them three ways:
-//
-//   - in memory, so a Runner never recomputes a baseline it has seen;
-//   - across goroutines, with per-key singleflight: concurrent matrix
-//     cells that need the same baseline block on one compute instead of
-//     racing N identical simulations;
-//   - across processes, with an optional disk spill: stores pointed at
-//     the same directory (stfm-experiments, stfm-sweep, stfm-bench and
-//     the stfm-server's -baseline-dir) share one alone-run fleet.
-//
-// Keys are BaselineKey content addresses, so equal keys imply
-// bit-identical runs and a stored Result is indistinguishable from a
-// recompute. Spilled entries use the same checksummed envelope as the
-// service result cache (DESIGN.md §18): at-rest corruption is
-// quarantined as <key>.json.corrupt and treated as a miss, never served
-// as a wrong baseline. Disk I/O failures also degrade to misses — the
-// store is an accelerator, never a correctness dependency.
-type BaselineStore struct {
-	mu       sync.Mutex
-	dir      string
-	mem      map[string]*sim.Result
-	inflight map[string]chan struct{}
-	hits     int64
-	misses   int64
-}
+// Results (the Talone denominators of Section 6.2): a store.Store
+// opened by NewBaselineStore. Every slowdown computation in the
+// experiment matrix needs the same few dozen alone runs, so the store
+// deduplicates them in memory, across goroutines (per-key singleflight
+// in Do), and — with a directory — across processes: stfm-experiments,
+// stfm-sweep, stfm-bench and the stfm-server's -baseline-dir share one
+// alone-run fleet.
+type BaselineStore = store.Store
+
+// BaselineStats are the store's cumulative counters.
+type BaselineStats = store.Stats
 
 // BaselineKey derives the content address of one alone-run baseline:
 // the SHA-256 of the run configuration's canonical fingerprint
@@ -55,258 +35,18 @@ func BaselineKey(cfg sim.Config, benchmark string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// baselineEnvelope is the on-disk spill format, mirroring the service
-// result cache's: the Result JSON plus the SHA-256 of exactly those
-// bytes, verified on every load.
-type baselineEnvelope struct {
-	// V is the envelope format version (1).
-	V int `json:"v"`
-	// Sum is the hex SHA-256 of the Result field's raw bytes.
-	Sum string `json:"sum"`
-	// Result is the marshaled alone-run sim.Result, byte-for-byte as
-	// checksummed.
-	Result json.RawMessage `json:"result"`
-}
-
-// NewBaselineStore builds a store; dir == "" keeps it memory-only.
+// NewBaselineStore opens a baseline store on dir; dir == "" keeps it
+// memory-only. Alone runs have exactly one thread, so a disk entry
+// with any other shape is quarantined like a checksum failure and a
+// damaged store can never skew a slowdown denominator.
 func NewBaselineStore(dir string) (*BaselineStore, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("experiments: baseline dir: %w", err)
-		}
-	}
-	return &BaselineStore{
-		dir:      dir,
-		mem:      make(map[string]*sim.Result),
-		inflight: make(map[string]chan struct{}),
-	}, nil
+	return store.Open(dir, checkAlone)
 }
 
-// newMemBaselineStore is the always-succeeding memory-only constructor
-// runners fall back to.
-func newMemBaselineStore() *BaselineStore {
-	s, _ := NewBaselineStore("")
-	return s
-}
-
-// Do returns the baseline for key, computing it at most once per
-// process: a memory hit or verified disk entry is returned directly;
-// otherwise the first caller runs compute while concurrent callers for
-// the same key block until it finishes and share its result. When the
-// compute fails, its error goes to the computing caller and each
-// blocked caller retries (one of them becomes the next computer), so a
-// transient failure never poisons the key. Waiting is bounded by ctx.
-// Callers must not mutate the returned Result.
-func (s *BaselineStore) Do(ctx context.Context, key string, compute func() (*sim.Result, error)) (*sim.Result, error) {
-	for {
-		s.mu.Lock()
-		if res, ok := s.mem[key]; ok {
-			s.hits++
-			s.mu.Unlock()
-			return res, nil
-		}
-		if s.dir != "" {
-			if res, err := s.load(key); err == nil {
-				s.mem[key] = res
-				s.hits++
-				s.mu.Unlock()
-				return res, nil
-			}
-		}
-		if ch, ok := s.inflight[key]; ok {
-			s.mu.Unlock()
-			select {
-			case <-ch:
-				continue // the computer stored a result or failed; re-check
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		ch := make(chan struct{})
-		s.inflight[key] = ch
-		s.misses++
-		s.mu.Unlock()
-
-		res, err := compute()
-		s.mu.Lock()
-		delete(s.inflight, key)
-		close(ch)
-		if err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-		s.mem[key] = res
-		dir := s.dir
-		s.mu.Unlock()
-		if dir != "" {
-			// Spill failures are deliberately dropped: the entry lives in
-			// memory, and the next process simply recomputes.
-			s.spill(key, res)
-		}
-		return res, nil
-	}
-}
-
-// Get returns the baseline for key without computing: a memory hit or
-// a verified disk entry. It does not wait for in-flight computes.
-func (s *BaselineStore) Get(key string) (*sim.Result, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if res, ok := s.mem[key]; ok {
-		s.hits++
-		return res, true
-	}
-	if s.dir != "" {
-		if res, err := s.load(key); err == nil {
-			s.mem[key] = res
-			s.hits++
-			return res, true
-		}
-	}
-	s.misses++
-	return nil, false
-}
-
-// Put stores a completed alone-run Result under key, spilling it when a
-// directory is configured. The spill write is atomic (temp + rename);
-// its failure is dropped, the in-memory store always wins.
-func (s *BaselineStore) Put(key string, res *sim.Result) {
-	s.mu.Lock()
-	s.mem[key] = res
-	dir := s.dir
-	s.mu.Unlock()
-	if dir != "" {
-		s.spill(key, res)
-	}
-}
-
-// spill writes one envelope to disk; errors degrade to a future miss.
-func (s *BaselineStore) spill(key string, res *sim.Result) error {
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	sum := sha256.Sum256(raw)
-	data, err := json.Marshal(baselineEnvelope{V: 1, Sum: hex.EncodeToString(sum[:]), Result: raw})
-	if err != nil {
-		return err
-	}
-	return atomicWriteFile(s.path(key), data)
-}
-
-// load reads and verifies one spilled entry; callers hold s.mu. Any
-// damage — truncation, a checksum mismatch, an unversioned file, a
-// Result with no threads — quarantines the entry as .corrupt and
-// returns an error, which the callers surface as a miss.
-func (s *BaselineStore) load(key string) (*sim.Result, error) {
-	path := s.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	res, err := decodeBaselineEntry(key, data)
-	if err != nil {
-		os.Rename(path, path+".corrupt")
-		return nil, err
-	}
-	return res, nil
-}
-
-// decodeBaselineEntry verifies the envelope and unwraps the Result.
-// Alone runs have exactly one thread; anything else is treated as
-// corruption so a damaged store can never skew a slowdown denominator.
-func decodeBaselineEntry(key string, data []byte) (*sim.Result, error) {
-	var env baselineEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("experiments: corrupt baseline entry %s: %w", key, err)
-	}
-	if env.V != 1 {
-		return nil, fmt.Errorf("experiments: corrupt baseline entry %s: unsupported envelope version %d", key, env.V)
-	}
-	want, err := hex.DecodeString(env.Sum)
-	if err != nil || len(want) != sha256.Size {
-		return nil, fmt.Errorf("experiments: corrupt baseline entry %s: malformed checksum", key)
-	}
-	sum := sha256.Sum256(env.Result)
-	if subtleEqual(sum[:], want) != 1 {
-		return nil, fmt.Errorf("experiments: corrupt baseline entry %s: checksum mismatch", key)
-	}
-	var res sim.Result
-	if err := json.Unmarshal(env.Result, &res); err != nil {
-		return nil, fmt.Errorf("experiments: corrupt baseline entry %s: %w", key, err)
-	}
+// checkAlone is the baseline store's decode-time shape rule.
+func checkAlone(res *sim.Result) error {
 	if len(res.Threads) != 1 {
-		return nil, fmt.Errorf("experiments: corrupt baseline entry %s: %d threads, alone runs have exactly 1", key, len(res.Threads))
+		return fmt.Errorf("%d threads, alone runs have exactly 1", len(res.Threads))
 	}
-	return &res, nil
-}
-
-// subtleEqual is a dependency-free constant-shape byte comparison
-// (equal lengths assumed by the caller); returns 1 when equal.
-func subtleEqual(a, b []byte) int {
-	if len(a) != len(b) {
-		return 0
-	}
-	var v byte
-	for i := range a {
-		v |= a[i] ^ b[i]
-	}
-	if v == 0 {
-		return 1
-	}
-	return 0
-}
-
-// path maps a key to its spill file. Keys are hex digests (BaselineKey
-// output), so the join is safe.
-func (s *BaselineStore) path(key string) string {
-	return filepath.Join(s.dir, key+".json")
-}
-
-// BaselineStats are the store's cumulative counters.
-type BaselineStats struct {
-	// Hits counts baselines served from memory or a verified disk entry.
-	Hits int64 `json:"hits"`
-	// Misses counts computes started (Do) or absent keys (Get).
-	Misses int64 `json:"misses"`
-	// Inflight is the number of computes running right now.
-	Inflight int `json:"inflight"`
-}
-
-// Stats returns the store's counters.
-func (s *BaselineStore) Stats() BaselineStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return BaselineStats{Hits: s.hits, Misses: s.misses, Inflight: len(s.inflight)}
-}
-
-// Len returns the number of in-memory entries.
-func (s *BaselineStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.mem)
-}
-
-// atomicWriteFile writes data via a temp file and rename, so a crash
-// mid-write can never leave a truncated entry (the same pattern as the
-// service layer's atomicWrite).
-func atomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".baseline-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return nil
 }

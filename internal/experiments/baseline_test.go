@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"stfm/internal/sim"
+	"stfm/internal/store"
 	"stfm/internal/workloads"
 )
 
@@ -67,15 +69,19 @@ func TestBaselineSingleflight(t *testing.T) {
 // next caller for the same key computes again instead of inheriting the
 // failure.
 func TestBaselineComputeFailureDoesNotPoison(t *testing.T) {
-	s := newMemBaselineStore()
+	s, err := NewBaselineStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := BaselineKey(sim.DefaultConfig(sim.PolicyFRFCFS, 1), "mcf")
 	boom := errors.New("boom")
-	if _, err := s.Do(context.Background(), "k", func() (*sim.Result, error) {
+	if _, err := s.Do(context.Background(), key, func() (*sim.Result, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("computing caller got %v, want boom", err)
 	}
 	want := &sim.Result{Threads: []sim.ThreadResult{{}}}
-	got, err := s.Do(context.Background(), "k", func() (*sim.Result, error) {
+	got, err := s.Do(context.Background(), key, func() (*sim.Result, error) {
 		return want, nil
 	})
 	if err != nil || got != want {
@@ -148,9 +154,9 @@ func TestBaselineCorruptionQuarantine(t *testing.T) {
 		"truncated":  func(b []byte) []byte { return b[:len(b)/2] },
 		"bitflip":    func(b []byte) []byte { c := append([]byte(nil), b...); c[len(c)/2] ^= 0x40; return c },
 		"garbage":    func([]byte) []byte { return []byte("not json at all") },
-		"badversion": func(b []byte) []byte { return reenvelope(t, b, func(e *baselineEnvelope) { e.V = 99 }) },
+		"badversion": func(b []byte) []byte { return reenvelope(t, b, func(e *store.Envelope) { e.V = 99 }) },
 		"badsum": func(b []byte) []byte {
-			return reenvelope(t, b, func(e *baselineEnvelope) { e.Sum = "00" + e.Sum[2:] })
+			return reenvelope(t, b, func(e *store.Envelope) { e.Sum = "00" + e.Sum[2:] })
 		},
 	}
 	for name, mangle := range damage {
@@ -179,10 +185,97 @@ func TestBaselineCorruptionQuarantine(t *testing.T) {
 	}
 }
 
+// parentBaseline is the alone-run Result behind the testdata/baseline-v1
+// fixture, which the pre-store BaselineStore spilled under
+// BaselineKey(parentBaselineConfig(), "mcf").
+var parentBaseline = &sim.Result{
+	Policy: sim.PolicyFRFCFS,
+	Threads: []sim.ThreadResult{
+		{Benchmark: "mcf", Instructions: 10_000, Cycles: 61_729, MemStallCycles: 49_383, IPC: 0.162, MCPI: 4.9383, DRAMReads: 1_234, DRAMWrites: 56, RowHitRate: 0.25, AvgReadLatency: 256.125, P95ReadLatency: 512, P99ReadLatency: 1024},
+	},
+	TotalCycles:    61_729,
+	BusUtilization: 0.3125,
+}
+
+func parentBaselineConfig() sim.Config {
+	cfg := sim.DefaultConfig(sim.PolicyFRFCFS, 1)
+	cfg.InstrTarget = 10_000
+	cfg.Seed = 1
+	return cfg
+}
+
+// TestBaselineParentFixtureHits pins disk-layout compatibility: an
+// entry spilled by the pre-store BaselineStore (testdata/baseline-v1)
+// must still hit under its recomputed BaselineKey, decode to the Result
+// it was written from, and re-encode to the same bytes — so
+// -baseline-dir directories written before the stores were unified
+// keep serving.
+func TestBaselineParentFixtureHits(t *testing.T) {
+	key := BaselineKey(parentBaselineConfig(), "mcf")
+	fixture, err := os.ReadFile(filepath.Join("testdata", "baseline-v1", key+".json"))
+	if err != nil {
+		t.Fatalf("no fixture under the recomputed key (key grammar changed?): %v", err)
+	}
+	dir := t.TempDir() // a failed load would quarantine the fixture
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewBaselineStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.Get(key)
+	if !ok {
+		t.Fatal("parent-commit baseline entry missed")
+	}
+	if !reflect.DeepEqual(got, parentBaseline) {
+		t.Errorf("parent-commit entry decoded to\n%+v\nwant\n%+v", got, parentBaseline)
+	}
+	enc, err := store.Encode(parentBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, fixture) {
+		t.Errorf("envelope encoding drifted from the parent's:\ngot  %s\nwant %s", enc, fixture)
+	}
+}
+
+// TestBaselineMultiThreadEntryQuarantined pins the baseline store's
+// shape rule: a correctly checksummed entry whose Result has more than
+// one thread is not an alone run, so it is quarantined and misses —
+// while the same bytes are a valid result-cache entry.
+func TestBaselineMultiThreadEntryQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	key := BaselineKey(parentBaselineConfig(), "mcf")
+	shared := *parentBaseline
+	shared.Threads = append(append([]sim.ThreadResult(nil), shared.Threads...), shared.Threads[0])
+	data, err := store.Encode(&shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, key+".json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Decode(data, nil); err != nil {
+		t.Fatalf("two-thread envelope is not valid without the shape rule: %v", err)
+	}
+	s, err := NewBaselineStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(key); ok {
+		t.Fatal("two-thread entry served as an alone baseline")
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Errorf("two-thread entry not quarantined: %v", err)
+	}
+}
+
 // reenvelope decodes, mutates, and re-encodes a spilled envelope.
-func reenvelope(t *testing.T, data []byte, mutate func(*baselineEnvelope)) []byte {
+func reenvelope(t *testing.T, data []byte, mutate func(*store.Envelope)) []byte {
 	t.Helper()
-	var env baselineEnvelope
+	var env store.Envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		t.Fatal(err)
 	}
@@ -194,17 +287,15 @@ func reenvelope(t *testing.T, data []byte, mutate func(*baselineEnvelope)) []byt
 	return out
 }
 
-// FuzzBaselineDecode fuzzes the envelope decoder: arbitrary bytes must
-// produce an error or a well-formed single-thread Result, never a panic
-// and never a Result that violates the alone-run shape.
+// FuzzBaselineDecode fuzzes the store's envelope decoder, seeded with
+// a result-cache envelope (two threads) and a baseline envelope (one
+// thread): arbitrary bytes must produce an error or a Result, never a
+// panic; under the baseline store's shape rule an accepted Result has
+// exactly one thread; and an accepted envelope re-encodes to bytes
+// that decode to the same Result.
 func FuzzBaselineDecode(f *testing.F) {
-	res := &sim.Result{Threads: []sim.ThreadResult{{Instructions: 1000, Cycles: 2000}}}
-	s := newMemBaselineStore()
-	s.dir = f.TempDir()
-	if err := s.spill("seed", res); err != nil {
-		f.Fatal(err)
-	}
-	valid, err := os.ReadFile(s.path("seed"))
+	alone := &sim.Result{Threads: []sim.ThreadResult{{Instructions: 1000, Cycles: 2000}}}
+	valid, err := store.Encode(alone)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -213,10 +304,26 @@ func FuzzBaselineDecode(f *testing.F) {
 	f.Add([]byte(`{"v":2}`))
 	f.Add([]byte(``))
 	f.Add(valid[:len(valid)/2])
+	shared := &sim.Result{Policy: sim.PolicySTFM, Threads: []sim.ThreadResult{{Benchmark: "mcf"}, {Benchmark: "libquantum"}}}
+	cacheEntry, err := store.Encode(shared)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cacheEntry)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := decodeBaselineEntry("fuzz", data)
-		if err == nil && len(res.Threads) != 1 {
-			t.Errorf("decoder accepted a Result with %d threads", len(res.Threads))
+		res, err := store.Decode(data, nil)
+		if err != nil {
+			return
+		}
+		again, err := store.Encode(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := store.Decode(again, nil); err != nil || !reflect.DeepEqual(back, res) {
+			t.Errorf("re-encoded envelope does not round-trip: %v", err)
+		}
+		if res, err := store.Decode(data, checkAlone); err == nil && len(res.Threads) != 1 {
+			t.Errorf("baseline decoder accepted a Result with %d threads", len(res.Threads))
 		}
 	})
 }

@@ -121,8 +121,9 @@ func NewRunnerContext(ctx context.Context, opts Options) *Runner {
 		store, err = NewBaselineStore(opts.BaselineDir)
 		if err != nil {
 			// An unusable spill directory costs persistence, not
-			// correctness: fall back to a memory-only store.
-			store = newMemBaselineStore()
+			// correctness: fall back to a memory-only store (whose
+			// Open cannot fail).
+			store, _ = NewBaselineStore("")
 		}
 	}
 	return &Runner{opts: opts, ctx: ctx, baseline: store}

@@ -3,14 +3,11 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"stfm/internal/sim"
+	"stfm/internal/store"
 )
 
 // Key derives the content address of one (Config, workload) job: the
@@ -29,181 +26,17 @@ func Key(cfg sim.Config, workload []string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Cache maps content-address keys to completed Results. All entries
-// live in memory; with a spill directory configured, every Put also
-// writes <dir>/<key>.json and a Get that misses memory falls back to
-// disk, so a restarted server keeps serving previously computed
-// configurations. Disk I/O failures degrade to cache misses — the
-// cache is an accelerator, never a correctness dependency.
-//
-// Spilled entries are wrapped in a checksummed envelope (cacheEnvelope)
-// so at-rest corruption is detected on load: a damaged entry is
-// quarantined as <key>.json.corrupt and treated as a miss, never served
-// as a wrong Result. DESIGN.md §17 documents the format.
-type Cache struct {
-	mu     sync.Mutex
-	dir    string
-	mem    map[string]*sim.Result
-	hits   int64
-	misses int64
-	chaos  *Chaos
-}
-
-// cacheEnvelope is the on-disk spill format: the Result JSON plus the
-// SHA-256 of exactly those bytes, verified on every load.
-type cacheEnvelope struct {
-	// V is the envelope format version (1).
-	V int `json:"v"`
-	// Sum is the hex SHA-256 of the Result field's raw bytes.
-	Sum string `json:"sum"`
-	// Result is the marshaled sim.Result, byte-for-byte as checksummed.
-	Result json.RawMessage `json:"result"`
-}
-
-// NewCache builds a cache; dir == "" disables the disk spill.
-func NewCache(dir string) (*Cache, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("service: cache dir: %w", err)
-		}
-	}
-	return &Cache{dir: dir, mem: make(map[string]*sim.Result)}, nil
-}
-
-// Get returns the cached Result for key, consulting the disk spill on a
-// memory miss. Callers must not mutate the returned Result.
-func (c *Cache) Get(key string) (*sim.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if res, ok := c.mem[key]; ok {
-		c.hits++
-		return res, true
-	}
-	if c.dir != "" {
-		if res, err := c.load(key); err == nil {
-			c.mem[key] = res
-			c.hits++
-			return res, true
-		}
-	}
-	c.misses++
-	return nil, false
-}
-
-// Put stores a completed Result under key and spills it to disk when a
-// directory is configured. The disk write is atomic (temp file +
-// rename) so a crash mid-write can never leave a truncated entry; its
-// error is returned for logging but the in-memory store always wins.
-func (c *Cache) Put(key string, res *sim.Result) error {
-	c.mu.Lock()
-	c.mem[key] = res
-	dir := c.dir
-	c.mu.Unlock()
-	if dir == "" {
-		return nil
-	}
-	raw, err := json.Marshal(res)
+// openResultCache opens the server's result cache — a store.Store of
+// whole job Results keyed by Key, spilled to dir when set — with the
+// chaos harness's cache.put/cache.get points wired into its spill and
+// load paths.
+func openResultCache(dir string, chaos *Chaos) (*store.Store, error) {
+	c, err := store.Open(dir, nil)
 	if err != nil {
-		return fmt.Errorf("service: cache encode: %w", err)
+		return nil, fmt.Errorf("service: cache dir: %w", err)
 	}
-	sum := sha256.Sum256(raw)
-	if action, ok := c.chaos.at("cache.put"); ok {
-		switch action {
-		case ActionError:
-			return fmt.Errorf("service: cache spill: %w", ErrInjected)
-		case ActionCorrupt:
-			// Damage the checksummed bytes AFTER summing, so the spill
-			// lands on disk exactly as at-rest corruption would. Flip a
-			// digit so the payload stays valid JSON — the nastiest kind
-			// of corruption, caught only by the checksum.
-			raw = append(json.RawMessage(nil), raw...)
-			for i, b := range raw {
-				if b >= '0' && b <= '9' {
-					raw[i] = b ^ 0x01
-					break
-				}
-			}
-		case ActionCrash:
-			panic(chaosCrash{point: "cache.put"})
-		}
+	if chaos != nil {
+		c.SetFaults(chaos.storeFaults())
 	}
-	data, err := json.Marshal(cacheEnvelope{V: 1, Sum: hex.EncodeToString(sum[:]), Result: raw})
-	if err != nil {
-		return fmt.Errorf("service: cache encode: %w", err)
-	}
-	if err := atomicWrite(c.path(key), data); err != nil {
-		return fmt.Errorf("service: cache spill: %w", err)
-	}
-	return nil
-}
-
-// load reads and verifies one spilled entry; callers hold c.mu. Any
-// damage — truncation, a checksum mismatch, an unversioned or empty
-// file — quarantines the entry as .corrupt and returns an error, which
-// Get surfaces as a miss.
-func (c *Cache) load(key string) (*sim.Result, error) {
-	path := c.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if action, ok := c.chaos.at("cache.get"); ok {
-		switch action {
-		case ActionError:
-			return nil, fmt.Errorf("service: cache load: %w", ErrInjected)
-		case ActionCorrupt:
-			data = append([]byte(nil), data...)
-			corruptByte(data)
-		}
-	}
-	res, err := decodeCacheEntry(key, data)
-	if err != nil {
-		os.Rename(path, path+".corrupt")
-		return nil, err
-	}
-	return res, nil
-}
-
-// decodeCacheEntry verifies the envelope and unwraps the Result.
-func decodeCacheEntry(key string, data []byte) (*sim.Result, error) {
-	var env cacheEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("service: corrupt cache entry %s: %w", key, err)
-	}
-	if env.V != 1 {
-		return nil, fmt.Errorf("service: corrupt cache entry %s: unsupported envelope version %d", key, env.V)
-	}
-	want, err := hex.DecodeString(env.Sum)
-	if err != nil || len(want) != sha256.Size {
-		return nil, fmt.Errorf("service: corrupt cache entry %s: malformed checksum", key)
-	}
-	sum := sha256.Sum256(env.Result)
-	if !hmacEqual(sum[:], want) {
-		return nil, fmt.Errorf("service: corrupt cache entry %s: checksum mismatch", key)
-	}
-	var res sim.Result
-	if err := json.Unmarshal(env.Result, &res); err != nil {
-		return nil, fmt.Errorf("service: corrupt cache entry %s: %w", key, err)
-	}
-	return &res, nil
-}
-
-// path maps a key to its spill file. Keys are hex digests (checked by
-// Get/Put callers constructing them via Key), so the join is safe.
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
-}
-
-// Len returns the number of in-memory entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.mem)
-}
-
-// Stats returns cumulative hit and miss counts.
-func (c *Cache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"stfm/internal/sim"
+	"stfm/internal/store"
 )
 
 func sampleResult() *sim.Result {
@@ -22,7 +23,7 @@ func sampleResult() *sim.Result {
 }
 
 func TestCacheMemory(t *testing.T) {
-	c, err := NewCache("")
+	c, err := openResultCache("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,13 +39,13 @@ func TestCacheMemory(t *testing.T) {
 	if !ok || !reflect.DeepEqual(got, res) {
 		t.Fatalf("Get after Put: ok=%v got=%+v", ok, got)
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 || c.Len() != 1 {
-		t.Errorf("stats = %d hits %d misses %d entries, want 1/1/1", hits, misses, c.Len())
+	st := c.Stats()
+	if st.Hits != 1 || st.Misses != 1 || c.Len() != 1 {
+		t.Errorf("stats = %d hits %d misses %d entries, want 1/1/1", st.Hits, st.Misses, c.Len())
 	}
 }
 
-// TestCacheDiskSpillSurvivesRestart: a fresh Cache over the same
+// TestCacheDiskSpillSurvivesRestart: a fresh result cache over the same
 // directory — a restarted server — serves entries the previous
 // instance computed, exactly.
 func TestCacheDiskSpillSurvivesRestart(t *testing.T) {
@@ -52,7 +53,7 @@ func TestCacheDiskSpillSurvivesRestart(t *testing.T) {
 	key := Key(sim.DefaultConfig(sim.PolicyFRFCFS, 2), []string{"mcf", "libquantum"})
 	res := sampleResult()
 
-	first, err := NewCache(dir)
+	first, err := openResultCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestCacheDiskSpillSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second, err := NewCache(dir)
+	second, err := openResultCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestCacheCorruptSpillDegradesToMiss(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte(`{"policy": tru`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCache(dir)
+	c, err := openResultCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestKeyDistinguishesWorkloads(t *testing.T) {
 func TestCacheEnvelopeDetectsBitFlip(t *testing.T) {
 	dir := t.TempDir()
 	key := Key(sim.DefaultConfig(sim.PolicySTFM, 2), []string{"mcf"})
-	first, err := NewCache(dir)
+	first, err := openResultCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestCacheEnvelopeDetectsBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second, err := NewCache(dir)
+	second, err := openResultCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestCacheZeroLengthEntryQuarantined(t *testing.T) {
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCache(dir)
+	c, err := openResultCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestCacheZeroLengthEntryQuarantined(t *testing.T) {
 func TestCacheTruncatedEntryQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	key := Key(sim.DefaultConfig(sim.PolicyFRFCFS, 2), []string{"mcf"})
-	c1, err := NewCache(dir)
+	c1, err := openResultCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestCacheTruncatedEntryQuarantined(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := NewCache(dir)
+	c2, err := openResultCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +214,10 @@ func TestCacheTruncatedEntryQuarantined(t *testing.T) {
 func TestCacheChaosFaults(t *testing.T) {
 	dir := t.TempDir()
 	key := Key(sim.DefaultConfig(sim.PolicyPARBS, 2), []string{"mcf"})
-	c1, err := NewCache(dir)
+	c1, err := openResultCache(dir, NewChaos(ChaosRule{Point: "cache.put", Visit: 1, Action: ActionCorrupt}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1.chaos = NewChaos(ChaosRule{Point: "cache.put", Visit: 1, Action: ActionCorrupt})
 	if err := c1.Put(key, sampleResult()); err != nil {
 		t.Fatal(err) // the corrupted spill itself succeeds
 	}
@@ -225,7 +225,7 @@ func TestCacheChaosFaults(t *testing.T) {
 		t.Fatal("in-memory entry lost")
 	}
 
-	c2, err := NewCache(dir)
+	c2, err := openResultCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,15 +233,94 @@ func TestCacheChaosFaults(t *testing.T) {
 		t.Fatal("corrupted spill served as a hit on reload")
 	}
 
-	c3, err := NewCache(dir)
+	c3, err := openResultCache(dir, NewChaos(ChaosRule{Point: "cache.put", Visit: 1, Action: ActionError}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c3.chaos = NewChaos(ChaosRule{Point: "cache.put", Visit: 1, Action: ActionError})
 	if err := c3.Put(key, sampleResult()); err == nil {
 		t.Fatal("injected Put error not surfaced")
 	}
 	if _, ok := c3.Get(key); !ok {
 		t.Fatal("in-memory entry must survive a failed spill")
+	}
+
+	// The load side: an injected read error is a plain miss that leaves
+	// the entry in place; an injected read corruption quarantines it.
+	if err := c3.Put(key, sampleResult()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, key+".json")
+	chaos := NewChaos(
+		ChaosRule{Point: "cache.get", Visit: 1, Action: ActionError},
+		ChaosRule{Point: "cache.get", Visit: 2, Action: ActionCorrupt},
+	)
+	c4, err := openResultCache(dir, chaos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c4.Get(key); ok {
+		t.Fatal("injected load error served a hit")
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("load error must not quarantine the entry: %v", err)
+	}
+	if _, ok := c4.Get(key); ok {
+		t.Fatal("injected load corruption served a hit")
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Errorf("corrupted load not quarantined: %v", err)
+	}
+	if got := chaos.Visits("cache.get"); got != 2 {
+		t.Errorf("cache.get fired %d times, want 2", got)
+	}
+}
+
+// TestCacheParentFixtureHits pins disk-layout compatibility: an entry
+// spilled by the pre-store service.Cache (testdata/cache-v1, written
+// before the result cache and the baseline store shared one
+// implementation) must still hit under its recomputed Key and decode
+// to the Result it was written from, and re-encoding that Result must
+// reproduce the file byte for byte.
+func TestCacheParentFixtureHits(t *testing.T) {
+	cfg := sim.DefaultConfig(sim.PolicySTFM, 2)
+	cfg.InstrTarget = 10_000
+	cfg.Seed = 1
+	key := Key(cfg, []string{"mcf", "libquantum"})
+	want := &sim.Result{
+		Policy: sim.PolicySTFM,
+		Threads: []sim.ThreadResult{
+			{Benchmark: "mcf", Instructions: 10_000, Cycles: 123_457, MemStallCycles: 98_765, IPC: 0.081, MCPI: 9.8765, DRAMReads: 1_234, DRAMWrites: 56, RowHitRate: 0.125, AvgReadLatency: 512.25, P95ReadLatency: 1024, P99ReadLatency: 2048},
+			{Benchmark: "libquantum", Instructions: 10_000, Cycles: 45_678, MemStallCycles: 30_001, IPC: 0.21892, MCPI: 3.0001, DRAMReads: 987, DRAMWrites: 3, RowHitRate: 0.96875, AvgReadLatency: 300.5, P95ReadLatency: 512, P99ReadLatency: 1024, Truncated: true},
+		},
+		TotalCycles:          123_457,
+		BusUtilization:       0.4375,
+		STFMUnfairness:       1.0625,
+		STFMFairnessFraction: 0.25,
+	}
+	fixture, err := os.ReadFile(filepath.Join("testdata", "cache-v1", key+".json"))
+	if err != nil {
+		t.Fatalf("no fixture under the recomputed key (key grammar changed?): %v", err)
+	}
+	dir := t.TempDir() // a failed load would quarantine the fixture
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := openResultCache(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c.Get(key)
+	if !ok {
+		t.Fatal("parent-commit cache entry missed")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("parent-commit entry decoded to\n%+v\nwant\n%+v", got, want)
+	}
+	enc, err := store.Encode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, fixture) {
+		t.Errorf("envelope encoding drifted from the parent's:\ngot  %s\nwant %s", enc, fixture)
 	}
 }

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
+
+	"stfm/internal/store"
 )
 
 // Chaos is the deterministic fault-injection harness behind the
@@ -94,6 +97,39 @@ func (c *Chaos) Visits(point string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.visits[point]
+}
+
+// storeFaults maps the cache.put/cache.get points onto the result
+// cache's store hooks. An injected spill corruption flips a digit of
+// the already-summed Result bytes, so the payload stays valid JSON —
+// the nastiest kind of at-rest damage, caught only by the checksum.
+func (c *Chaos) storeFaults() store.Faults {
+	return store.Faults{
+		Spill: func(raw []byte) ([]byte, error) {
+			switch action, _ := c.at("cache.put"); action {
+			case ActionError:
+				return nil, ErrInjected
+			case ActionCorrupt:
+				raw = append([]byte(nil), raw...)
+				if i := bytes.IndexAny(raw, "0123456789"); i >= 0 {
+					raw[i] ^= 0x01
+				}
+			case ActionCrash:
+				panic(chaosCrash{point: "cache.put"})
+			}
+			return raw, nil
+		},
+		Load: func(data []byte) ([]byte, error) {
+			switch action, _ := c.at("cache.get"); action {
+			case ActionError:
+				return nil, ErrInjected
+			case ActionCorrupt:
+				data = append([]byte(nil), data...)
+				corruptByte(data)
+			}
+			return data, nil
+		},
+	}
 }
 
 // corruptByte flips one bit roughly in the middle of data, in place.

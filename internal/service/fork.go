@@ -40,45 +40,53 @@ type ForkRequest struct {
 // forkGroup is the shared warm-up snapshot of one fork request's
 // children. The first child to execute computes it (running the warm-up
 // config to the fork cycle and serializing a checkpoint); siblings
-// block on done and share the bytes. A failed warm-up is cached and
-// fails every child — the children's cold path remains available by
-// resubmitting, and a warm-up that cannot run would fail each child
-// identically anyway.
+// block and share the bytes, which the group keeps for its lifetime. A
+// failed warm-up follows store.Store.Do's rule: the error goes to the
+// child that computed it (which then runs cold), and the next child
+// computes afresh — so one child's cancellation or deadline never
+// sends its siblings down the cold path.
 type forkGroup struct {
 	warmCfg  sim.Config
 	workload []string
 	at       int64
 
 	mu   sync.Mutex
-	done chan struct{} // closed when snap/err are set
+	busy chan struct{} // non-nil while a child computes; closed when it finishes
 	snap []byte
-	err  error
 }
 
-// snapshot returns the group's warm-up checkpoint, computing it on
-// first call. Waiting is bounded by ctx.
+// snapshot returns the group's warm-up checkpoint, computing it if no
+// child has yet succeeded. Waiting is bounded by ctx.
 func (g *forkGroup) snapshot(ctx context.Context, s *Server) ([]byte, error) {
-	g.mu.Lock()
-	if g.done == nil {
-		g.done = make(chan struct{})
+	for {
+		g.mu.Lock()
+		if snap := g.snap; snap != nil {
+			g.mu.Unlock()
+			return snap, nil
+		}
+		if busy := g.busy; busy != nil {
+			g.mu.Unlock()
+			select {
+			case <-busy:
+				continue // the computer succeeded or failed; re-check
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		busy := make(chan struct{})
+		g.busy = busy
 		g.mu.Unlock()
+
 		snap, err := g.compute(ctx, s)
 		g.mu.Lock()
-		g.snap, g.err = snap, err
-		close(g.done)
+		g.busy = nil
+		if err == nil {
+			g.snap = snap
+		}
+		close(busy)
 		g.mu.Unlock()
 		return snap, err
 	}
-	done := g.done
-	g.mu.Unlock()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.snap, g.err
 }
 
 // compute runs the warm-up simulation to the fork cycle and serializes

@@ -195,3 +195,34 @@ func TestServerBaselineStore(t *testing.T) {
 		t.Error("runner's baseline differs from the server's result")
 	}
 }
+
+// TestForkWarmupCancelDoesNotPoison pins the fork group's failure rule:
+// a child whose context is already canceled fails its own warm-up, but
+// the group does not keep that error — the next child computes the
+// snapshot afresh and gets one that restores, instead of being sent
+// down the cold path by a sibling's cancellation.
+func TestForkWarmupCancelDoesNotPoison(t *testing.T) {
+	g := &forkGroup{warmCfg: quickConfig(5), workload: []string{"mcf", "libquantum"}, at: 20_000}
+	srv := &Server{}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := g.snapshot(canceled, srv); !errors.Is(err, sim.ErrCanceled) {
+		t.Fatalf("canceled warm-up returned %v, want sim.ErrCanceled", err)
+	}
+	snap, err := g.snapshot(context.Background(), srv)
+	if err != nil {
+		t.Fatalf("second child inherited the canceled warm-up: %v", err)
+	}
+	pol := sim.PolicySTFM
+	sys, err := sim.Restore(snap, &sim.RestoreOptions{Policy: &pol})
+	if err != nil {
+		t.Fatalf("warm-up snapshot does not restore: %v", err)
+	}
+	if sys.Now() != g.at {
+		t.Errorf("snapshot restored at cycle %d, want %d", sys.Now(), g.at)
+	}
+	again, err := g.snapshot(context.Background(), srv)
+	if err != nil || &again[0] != &snap[0] {
+		t.Errorf("a successful snapshot must be kept for the group's lifetime (err %v)", err)
+	}
+}

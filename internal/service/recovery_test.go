@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -14,6 +15,7 @@ import (
 
 	"stfm/internal/experiments"
 	"stfm/internal/sim"
+	"stfm/internal/store"
 )
 
 // The recovery suite: crash the server at injected fault points mid-job
@@ -460,5 +462,85 @@ func TestRecoveryJobIDsDoNotCollide(t *testing.T) {
 	}
 	if parseJobSeq(id2) <= parseJobSeq(id1) {
 		t.Errorf("job sequence went backwards: %s after %s", id2, id1)
+	}
+}
+
+// TestRecoveryRejectsNonDigestFingerprint: a journaled fingerprint is
+// a cache key, and a damaged or hand-edited journal can carry anything
+// there. Keys that are not digests must never reach the disk: a done
+// job journaled under "../x" must not be served (or quarantined) from
+// the planted <cache>/../x.json, a pending job under "../y" must not
+// spill to <cache>/../y.json, and both must complete bit-identical to
+// fresh runs under their real fingerprints.
+func TestRecoveryRejectsNonDigestFingerprint(t *testing.T) {
+	root := t.TempDir()
+	journal := filepath.Join(root, "journal")
+	cacheDir := filepath.Join(root, "cache")
+	if err := os.MkdirAll(journal, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	workload := []string{"mcf", "libquantum"}
+	doneCfg, pendCfg := quickConfig(21), quickConfig(22)
+
+	// A well-formed entry with a wrong Result, where "../x" points.
+	bogus, err := store.Encode(&sim.Result{Policy: sim.PolicyFRFCFS, Threads: []sim.ThreadResult{{Benchmark: "bogus"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := filepath.Join(root, "x.json")
+	if err := os.WriteFile(planted, bogus, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var wal []byte
+	for i, r := range []walRecord{
+		{Type: walSubmit, Job: "j1-00000000", Config: &doneCfg, Workload: workload, Fingerprint: "../x"},
+		{Type: walStart, Job: "j1-00000000"},
+		{Type: walComplete, Job: "j1-00000000", Status: StatusDone},
+		{Type: walSubmit, Job: "j2-00000000", Config: &pendCfg, Workload: workload, Fingerprint: "../y"},
+	} {
+		r.Seq = int64(i + 1)
+		line, err := encodeWALRecord(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal = append(wal, line...)
+	}
+	if err := os.WriteFile(filepath.Join(journal, walName), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := New(Options{Workers: 1, JournalDir: journal, CacheDir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, cfg := range map[string]sim.Config{"j1-00000000": doneCfg, "j2-00000000": pendCfg} {
+		info := waitServerDone(t, srv, id)
+		if info.Status != StatusDone {
+			t.Fatalf("job %s finished %s (error %q), want done", id, info.Status, info.Error)
+		}
+		if info.Fingerprint != Key(cfg, workload) {
+			t.Errorf("job %s fingerprint = %q, want the recomputed Key", id, info.Fingerprint)
+		}
+		rr, _ := srv.Result(id)
+		if !reflect.DeepEqual(rr.Result, referenceResult(t, cfg, workload)) {
+			t.Errorf("job %s result differs from a fresh run", id)
+		}
+	}
+	drainServer(t, srv)
+
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"cache", "journal", "x.json"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("files next to the cache dir = %v, want %v", names, want)
+	}
+	if data, err := os.ReadFile(planted); err != nil || !bytes.Equal(data, bogus) {
+		t.Errorf("planted file outside the cache dir was touched (err %v)", err)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"stfm/internal/experiments"
 	"stfm/internal/memctrl"
 	"stfm/internal/sim"
+	"stfm/internal/store"
 	"stfm/internal/telemetry"
 )
 
@@ -82,10 +83,11 @@ type Options struct {
 type Server struct {
 	opts  Options
 	queue *queue
-	cache *Cache
-	// baseline is the shared alone-baseline store; nil when
-	// Options.BaselineDir is unset.
-	baseline *experiments.BaselineStore
+	// cache is the result cache, keyed by Key; baseline is the shared
+	// alone-baseline store keyed by experiments.BaselineKey, nil when
+	// Options.BaselineDir is unset. Both are store.Store instances.
+	cache    *store.Store
+	baseline *store.Store
 	start    time.Time
 
 	// wal / ckptDir are the durable-journal state; nil/"" when
@@ -127,12 +129,11 @@ func New(opts Options) (*Server, error) {
 	if opts.SampleEvery == 0 {
 		opts.SampleEvery = 5000
 	}
-	cache, err := NewCache(opts.CacheDir)
+	cache, err := openResultCache(opts.CacheDir, opts.Chaos)
 	if err != nil {
 		return nil, err
 	}
-	cache.chaos = opts.Chaos
-	var baseline *experiments.BaselineStore
+	var baseline *store.Store
 	if opts.BaselineDir != "" {
 		if baseline, err = experiments.NewBaselineStore(opts.BaselineDir); err != nil {
 			return nil, err
@@ -203,8 +204,11 @@ func (s *Server) recoverJobs(replays []jobReplay) []*job {
 			s.logf("journal: job %s: unknown workload, dropped: %v", r.submit.Job, err)
 			continue
 		}
+		// The journaled fingerprint keys the result cache, so anything
+		// but a digest (an old record without one, or a damaged or
+		// hand-edited journal) is recomputed from the config.
 		fp := r.submit.Fingerprint
-		if fp == "" {
+		if !store.ValidKey(fp) {
 			fp = Key(cfg, workload)
 		}
 		j := &job{
@@ -628,7 +632,9 @@ func (s *Server) runJob(j *job) (crashed bool) {
 		if s.baseline != nil && aloneShaped(j.cfg, j.workload) {
 			// Feed the shared baseline store too, so batch tools pointed
 			// at the same -baseline-dir skip this alone run entirely.
-			s.baseline.Put(experiments.BaselineKey(j.cfg, j.workload[0]), res)
+			if berr := s.baseline.Put(experiments.BaselineKey(j.cfg, j.workload[0]), res); berr != nil {
+				s.logf("job %s: %v", j.id, berr)
+			}
 		}
 	}
 
@@ -750,7 +756,7 @@ func (s *Server) restoreSystem(j *job) *sim.System {
 	}
 	sys, err := sim.Restore(data, &sim.RestoreOptions{Telemetry: j.col})
 	if err != nil {
-		if qerr := quarantine(j.resumeFrom); qerr != nil {
+		if qerr := store.Quarantine(j.resumeFrom); qerr != nil {
 			s.logf("job %s: %v", j.id, qerr)
 		}
 		s.logf("job %s: checkpoint rejected (quarantined as .corrupt), running from scratch: %v", j.id, err)
@@ -806,38 +812,10 @@ func (s *Server) writeCheckpoint(j *job, path string, cycle int64, data []byte) 
 			return fmt.Errorf("service: checkpoint write: %w", ErrInjected)
 		}
 	}
-	if err := atomicWrite(path, data); err != nil {
+	if err := store.WriteFileAtomic(path, data); err != nil {
 		return fmt.Errorf("service: checkpoint write: %w", err)
 	}
 	return s.wal.append(walRecord{Type: walCheckpoint, Job: j.id, Cycle: cycle, Path: path})
-}
-
-// atomicWrite persists data to path through a same-directory temp file,
-// fsync, and rename, so path never holds a torn write.
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }
 
 // Stats is the GET /v1/stats body.
@@ -878,7 +856,7 @@ type BaselineInfo struct {
 
 // Stats snapshots the server's counters.
 func (s *Server) Stats() Stats {
-	hits, misses := s.cache.Stats()
+	cs := s.cache.Stats()
 	var baseline *BaselineInfo
 	if s.baseline != nil {
 		bs := s.baseline.Stats()
@@ -903,8 +881,8 @@ func (s *Server) Stats() Stats {
 		Failed:        s.failed,
 		Canceled:      s.canceled,
 		CacheEntries:  s.cache.Len(),
-		CacheHits:     hits,
-		CacheMisses:   misses,
+		CacheHits:     cs.Hits,
+		CacheMisses:   cs.Misses,
 		JobP50Ms:      s.durations.Percentile(0.50),
 		JobP95Ms:      s.durations.Percentile(0.95),
 		JobMaxMs:      s.durations.Max(),

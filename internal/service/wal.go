@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -12,6 +13,7 @@ import (
 	"sync"
 
 	"stfm/internal/sim"
+	"stfm/internal/store"
 )
 
 // The durable job journal (DESIGN.md §17): an append-only WAL of job
@@ -116,26 +118,13 @@ func decodeWALLine(line string) (walRecord, error) {
 		return r, fmt.Errorf("malformed checksum: %w", err)
 	}
 	sum := sha256.Sum256([]byte(payload))
-	if !hmacEqual(sum[:], want) {
+	if !bytes.Equal(sum[:], want) {
 		return r, fmt.Errorf("checksum mismatch")
 	}
 	if err := json.Unmarshal([]byte(payload), &r); err != nil {
 		return r, fmt.Errorf("payload decode: %w", err)
 	}
 	return r, nil
-}
-
-// hmacEqual is a plain constant-length byte comparison (the checksums
-// here detect corruption, not adversaries; no secret is involved).
-func hmacEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	var diff byte
-	for i := range a {
-		diff |= a[i] ^ b[i]
-	}
-	return diff == 0
 }
 
 // openWAL opens (creating if needed) the journal in dir and replays
@@ -155,8 +144,8 @@ func openWAL(dir string, chaos *Chaos) (*wal, []walRecord, error) {
 		// Quarantine the damaged file and rewrite a fresh journal from
 		// the valid prefix, so the damage cannot compound on the next
 		// crash.
-		if err := quarantine(path); err != nil {
-			return nil, nil, err
+		if err := store.Quarantine(path); err != nil {
+			return nil, nil, fmt.Errorf("service: journal %w", err)
 		}
 		if err := rewriteWAL(path, records); err != nil {
 			return nil, nil, err
@@ -230,45 +219,17 @@ func replayWAL(path string) ([]walRecord, *WALError, error) {
 	return records, nil, nil
 }
 
-// quarantine renames a damaged file to name.corrupt (replacing any
-// previous quarantine) for post-mortem inspection.
-func quarantine(path string) error {
-	if err := os.Rename(path, path+".corrupt"); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("service: quarantine: %w", err)
-	}
-	return nil
-}
-
 // rewriteWAL atomically replaces the journal with exactly records.
 func rewriteWAL(path string, records []walRecord) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "wal-*.tmp")
-	if err != nil {
-		return fmt.Errorf("service: journal rewrite: %w", err)
-	}
+	var data []byte
 	for _, r := range records {
 		line, err := encodeWALRecord(r)
 		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
 			return fmt.Errorf("service: journal rewrite: %w", err)
 		}
-		if _, err := tmp.Write(line); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("service: journal rewrite: %w", err)
-		}
+		data = append(data, line...)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: journal rewrite: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: journal rewrite: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := store.WriteFileAtomic(path, data); err != nil {
 		return fmt.Errorf("service: journal rewrite: %w", err)
 	}
 	return nil
