@@ -375,9 +375,11 @@ func BenchmarkAblationCap(b *testing.B) {
 // serial low-row-hit misses) in which the vast majority of CPU cycles
 // are dead: both cores stalled on a dependent miss while the controller
 // waits out tRCD/tCL/tRP on an otherwise idle channel. This is the
-// workload shape event-driven stepping exists for; the dense/event pair
-// below is the perf trajectory recorded in BENCH_stepping.json by
-// cmd/stfm-bench.
+// workload shape event-driven stepping exists for. The dense/event pair
+// below times it on the host at hand; compare two commits on one
+// machine. The machine-independent view of the same saving is
+// System.Counters (CyclesSkipped against Steps, pinned by
+// TestWorkCounters in internal/sim).
 func steppingRun(b *testing.B, dense bool) int64 {
 	return steppingRunTel(b, dense, nil)
 }
@@ -428,8 +430,10 @@ func BenchmarkSteppingEvent(b *testing.B) {
 // telemetry collector attached (interval sampling plus the command
 // ring); the ratio to BenchmarkSteppingEvent is the observability
 // layer's overhead when it is actually collecting. With telemetry off
-// the cost must stay at a nil check — compare BenchmarkSteppingEvent
-// against PR 1's BENCH_stepping.json for that invariant. Allocations
+// the cost must stay at a nil check: time BenchmarkSteppingEvent
+// against the parent commit on one machine to check it, while
+// TestTelemetryEquivalence pins that a collector never changes a
+// Result. Allocations
 // are reported because the sampling path reserves its series up front
 // (TimeSeries.Reserve) and the event ring is fixed-size: the per-run
 // allocation delta over BenchmarkSteppingEvent must stay flat in the

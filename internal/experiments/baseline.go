@@ -16,8 +16,8 @@ import (
 // experiment matrix needs the same few dozen alone runs, so the store
 // deduplicates them in memory, across goroutines (per-key singleflight
 // in Do), and — with a directory — across processes: stfm-experiments,
-// stfm-sweep, stfm-bench and the stfm-server's -baseline-dir share one
-// alone-run fleet.
+// stfm-sweep and the stfm-server's -baseline-dir share one alone-run
+// fleet.
 type BaselineStore = store.Store
 
 // BaselineStats are the store's cumulative counters.

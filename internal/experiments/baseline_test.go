@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"stfm/internal/dram"
 	"stfm/internal/sim"
 	"stfm/internal/store"
 	"stfm/internal/workloads"
@@ -331,43 +332,112 @@ func FuzzBaselineDecode(f *testing.F) {
 // TestForkMatrixEquivalence is the fork planner's oracle: a
 // ForkWarmup matrix must produce, for every cell, a Result bit-identical
 // to the cold path running the same cells with ForkAtCycle set, and
-// identical derived metrics.
+// identical derived metrics. It covers a small 4-core grid plus the
+// fig5 (25 mixes x 2 policies) and protocols (4 mixes x 2 policies x 5
+// packs) matrices, each protocol plane under its own Options.Protocol.
+// Every mix's FR-FCFS run must outlast the fork cycle, so no case can
+// quietly degenerate into cells that never switch policy. On fig5 a
+// second fork pass, against a fresh store opened on the directory the
+// first pass spilled to, must serve every alone baseline from disk (no
+// misses) and reproduce every cell.
 func TestForkMatrixEquivalence(t *testing.T) {
-	const warmup = 60_000
-	mixes := workloads.SampleFourCore()[:2]
-	policies := []sim.PolicyKind{sim.PolicyFRFCFS, sim.PolicySTFM, sim.PolicyNFQ}
-	base := Options{InstrTarget: 15_000, MinMisses: 0, Seed: 1}
-
-	forkOpts := base
-	forkOpts.ForkWarmup = warmup
-	forked, err := NewRunner(forkOpts).RunMatrix(mixes, policies, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The scratch oracle: cold per-cell runs of the SAME simulation —
-	// ForkAtCycle/WarmupPolicy in the config, no checkpointing.
-	cold, err := NewRunner(base).RunMatrix(mixes, policies, func(cfg *sim.Config) {
-		cfg.ForkAtCycle = warmup
-		cfg.WarmupPolicy = sim.PolicyFRFCFS
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i := range mixes {
-		for _, pol := range policies {
-			f, c := forked[i][pol], cold[i][pol]
-			if f == nil || c == nil {
-				t.Fatalf("%s/%s: missing cell (fork=%v cold=%v)", mixes[i].Name, pol, f != nil, c != nil)
-			}
-			if !reflect.DeepEqual(f.Result, c.Result) {
-				t.Errorf("%s/%s: forked Result differs from scratch oracle", mixes[i].Name, pol)
-			}
-			if !reflect.DeepEqual(f, c) {
-				t.Errorf("%s/%s: forked WorkloadResult (metrics) differs from scratch oracle", mixes[i].Name, pol)
-			}
+	matrix := func(id string) MatrixSpec {
+		spec, err := MatrixByID(id)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return spec
+	}
+	cases := []struct {
+		name       string
+		spec       MatrixSpec
+		instrs     int64
+		warmup     int64
+		secondPass bool
+	}{
+		{"sample4", MatrixSpec{
+			Mixes:    workloads.SampleFourCore()[:2],
+			Policies: []sim.PolicyKind{sim.PolicyFRFCFS, sim.PolicySTFM, sim.PolicyNFQ},
+		}, 15_000, 60_000, false},
+		{"fig5", matrix("fig5"), 10_000, 20_000, true},
+		{"protocols", matrix("protocols"), 10_000, 20_000, false},
+	}
+	type plane = []map[sim.PolicyKind]*WorkloadResult
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			protocols := tc.spec.Protocols
+			if len(protocols) == 0 {
+				protocols = []dram.Protocol{""}
+			}
+			dir := t.TempDir()
+			shared, err := NewBaselineStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// pass runs every protocol plane of the grid against store:
+			// fork-planned, or as the scratch oracle — cold per-cell runs
+			// of the SAME simulation, ForkAtCycle/WarmupPolicy in the
+			// config and no checkpointing.
+			pass := func(store *BaselineStore, fork bool) []plane {
+				var planes []plane
+				for _, proto := range protocols {
+					opts := Options{InstrTarget: tc.instrs, Seed: 1, Protocol: proto, Baseline: store}
+					var mutate func(*sim.Config)
+					if fork {
+						opts.ForkWarmup = tc.warmup
+					} else {
+						mutate = func(cfg *sim.Config) {
+							cfg.ForkAtCycle = tc.warmup
+							cfg.WarmupPolicy = sim.PolicyFRFCFS
+						}
+					}
+					res, err := NewRunner(opts).RunMatrix(tc.spec.Mixes, tc.spec.Policies, mutate)
+					if err != nil {
+						t.Fatal(err)
+					}
+					planes = append(planes, res)
+				}
+				return planes
+			}
+			forked := pass(shared, true)
+			cold := pass(shared, false)
+
+			for pi, proto := range protocols {
+				for i, mix := range tc.spec.Mixes {
+					if c := cold[pi][i][sim.PolicyFRFCFS]; c == nil || c.Result.TotalCycles <= tc.warmup {
+						t.Fatalf("%s/%s: the FR-FCFS run does not outlast the fork cycle %d", proto, mix.Name, tc.warmup)
+					}
+					for _, pol := range tc.spec.Policies {
+						f, c := forked[pi][i][pol], cold[pi][i][pol]
+						if f == nil || c == nil {
+							t.Fatalf("%s/%s/%s: missing cell (fork=%v cold=%v)", proto, mix.Name, pol, f != nil, c != nil)
+						}
+						if !reflect.DeepEqual(f.Result, c.Result) {
+							t.Errorf("%s/%s/%s: forked Result differs from scratch oracle", proto, mix.Name, pol)
+						}
+						if !reflect.DeepEqual(f, c) {
+							t.Errorf("%s/%s/%s: forked WorkloadResult (metrics) differs from scratch oracle", proto, mix.Name, pol)
+						}
+					}
+				}
+			}
+			if !tc.secondPass {
+				return
+			}
+			reopened, err := NewBaselineStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again := pass(reopened, true)
+			if st := reopened.Stats(); st.Misses != 0 || st.Hits == 0 {
+				t.Errorf("second pass: %d baseline hits, %d misses; want every baseline served from the first pass's spill", st.Hits, st.Misses)
+			}
+			if !reflect.DeepEqual(again, forked) {
+				t.Error("second fork pass, served from the baseline store, changed a cell")
+			}
+		})
 	}
 }
 

@@ -188,7 +188,7 @@ type WorkloadResult struct {
 	// Result is the raw shared-run sim.Result the metrics derive from
 	// (Result.Threads == Shared). Fork-amortized matrix cells being
 	// bit-identical to their cold scratch oracle is asserted against
-	// this field (stfm-bench -suite matrix).
+	// this field (TestForkMatrixEquivalence).
 	Result    *sim.Result
 	AloneMCPI []float64
 	AloneIPC  []float64

@@ -359,7 +359,8 @@ func policyRow(m map[sim.PolicyKind]*WorkloadResult, f func(*WorkloadResult) flo
 // warm-up prefix once instead of K times. Each fork cell's Result is
 // bit-identical to a cold run of the same config with
 // ForkAtCycle/WarmupPolicy set (sim.TestForkEquivalence pins this;
-// stfm-bench -suite matrix re-asserts it against live scratch runs).
+// TestForkMatrixEquivalence re-asserts it cell by cell on the fig5 and
+// protocols matrices).
 func (r *Runner) RunMatrix(mixes []workloads.Mix, policies []sim.PolicyKind, mutate func(*sim.Config)) ([]map[sim.PolicyKind]*WorkloadResult, error) {
 	out := make([]map[sim.PolicyKind]*WorkloadResult, len(mixes))
 	for i := range out {

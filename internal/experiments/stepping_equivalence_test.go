@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"stfm/internal/dram"
 	"stfm/internal/sim"
+	"stfm/internal/trace"
+	"stfm/internal/workloads"
 )
 
 // TestEquivalence is the differential test behind the event-driven
@@ -150,43 +153,64 @@ func TestCheckedEquivalence(t *testing.T) {
 
 // TestEquivalenceAllPoliciesMultiChannel extends the matrix to every
 // implemented scheduler — the paper's five plus the follow-up PAR-BS
-// and TCM — on an 8-core, 2-channel mix. The multi-channel 8-core shape
-// is where the indexed scheduler state earns its keep (per-bank winner
-// memos, cached channel horizons, per-core gating with lazy idle
-// accounting all active at once), so every policy must still match the
-// dense oracle bit for bit there. Skipped under -short: seven 8-core
-// dense runs dominate the package's test time.
+// and TCM — on an 8-core, 2-channel mix, and runs STFM on the widest
+// shapes the scheduler sees: the 16-core high8+low8 mix on DDR2's four
+// channels and on the HBM pack's eight (ProtocolChannels doubles the
+// scaling). The multi-channel shapes are where the indexed scheduler
+// state earns its keep (per-bank winner memos, cached channel
+// horizons, per-core gating with lazy idle accounting all active at
+// once), and STFM keeps the controller awake on every DRAM edge, so
+// every case must still match the dense oracle bit for bit. Skipped
+// under -short: nine dense 8- and 16-core runs dominate the package's
+// test time.
 func TestEquivalenceAllPoliciesMultiChannel(t *testing.T) {
 	if testing.Short() {
-		t.Skip("seven dense 8-core runs; skipped under -short")
+		t.Skip("nine dense 8- and 16-core runs; skipped under -short")
 	}
 	t.Parallel()
-	mix := []string{"mcf", "h264ref", "bzip2", "gromacs", "gobmk", "dealII", "wrf", "namd"}
-	for _, pol := range sim.ExtendedPolicies() {
-		pol := pol
-		t.Run(string(pol), func(t *testing.T) {
-			t.Parallel()
-			profiles, err := Profiles(mix...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := sim.DefaultConfig(pol, len(profiles))
-			cfg.InstrTarget = 10_000
-			cfg.MinMisses = 30
+	eight, err := Profiles("mcf", "h264ref", "bzip2", "gromacs", "gobmk", "dealII", "wrf", "namd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sixteen := workloads.SixteenCoreMixes()[1].Profiles // high8+low8
+	stfm := []sim.PolicyKind{sim.PolicySTFM}
+	cases := []struct {
+		prefix    string // subtest name prefix; the 8-core case has none
+		profiles  []trace.Profile
+		protocol  dram.Protocol
+		policies  []sim.PolicyKind
+		instrs    int64
+		minMisses int64
+	}{
+		{"", eight, "", sim.ExtendedPolicies(), 10_000, 30},
+		{"16core-DDR2-4ch/", sixteen, "", stfm, 10_000, 100},
+		{"16core-HBM-8ch/", sixteen, dram.HBM, stfm, 10_000, 100},
+	}
+	for _, tc := range cases {
+		for _, pol := range tc.policies {
+			tc, pol := tc, pol
+			t.Run(tc.prefix+string(pol), func(t *testing.T) {
+				t.Parallel()
+				cfg := sim.DefaultConfig(pol, len(tc.profiles))
+				cfg.Protocol = tc.protocol
+				cfg.Channels = sim.ProtocolChannels(tc.protocol, len(tc.profiles))
+				cfg.InstrTarget = tc.instrs
+				cfg.MinMisses = tc.minMisses
 
-			cfg.DenseTick = true
-			dense, err := sim.Run(cfg, profiles)
-			if err != nil {
-				t.Fatalf("dense run: %v", err)
-			}
-			cfg.DenseTick = false
-			event, err := sim.Run(cfg, profiles)
-			if err != nil {
-				t.Fatalf("event run: %v", err)
-			}
-			if !reflect.DeepEqual(dense, event) {
-				t.Errorf("dense and event-driven results diverge\ndense: %+v\nevent: %+v", dense, event)
-			}
-		})
+				cfg.DenseTick = true
+				dense, err := sim.Run(cfg, tc.profiles)
+				if err != nil {
+					t.Fatalf("dense run: %v", err)
+				}
+				cfg.DenseTick = false
+				event, err := sim.Run(cfg, tc.profiles)
+				if err != nil {
+					t.Fatalf("event run: %v", err)
+				}
+				if !reflect.DeepEqual(dense, event) {
+					t.Errorf("dense and event-driven results diverge\ndense: %+v\nevent: %+v", dense, event)
+				}
+			})
+		}
 	}
 }

@@ -246,7 +246,38 @@ type Controller struct {
 	// arrivals are scheduled exactly when a dense-ticked controller
 	// would first see them.
 	nextWake int64
+
+	// counters accumulates the controller's work counts (Counters).
+	counters Counters
 }
+
+// Counters are the controller's machine-independent work counts, read
+// through Controller.Counters and folded into sim.Counters (DESIGN.md
+// §10). Each is a plain increment on a branch the edge path takes
+// anyway; nothing in the controller reads them back, so they cannot
+// steer a schedule. They are not controller state: checkpoints do not
+// carry them and a restored controller starts from zero.
+type Counters struct {
+	// ControllerEdges counts Tick calls that landed on a DRAM clock
+	// edge and did edge work (calls between edges return early).
+	ControllerEdges int64
+	// ArbitrationScans counts full level-1 bank tournaments (scanBank).
+	// Under an OrderingPolicy a scan runs only on a winner-memo miss, so
+	// it equals WinnerMemoMisses there.
+	ArbitrationScans int64
+	// WinnerMemoHits and WinnerMemoMisses count per-bank winner-memo
+	// lookups in arbitration that replayed the cached winner or fell
+	// through to a scan (OrderingPolicy only).
+	WinnerMemoHits, WinnerMemoMisses int64
+	// TimingMemoHits and TimingMemoMisses count per-request timing-memo
+	// revalidations whose bank epoch matched (cached NextCommand and
+	// CommandReadyAt reused) or moved (both rederived).
+	TimingMemoHits, TimingMemoMisses int64
+}
+
+// Counters returns the work counts accumulated since the controller was
+// built.
+func (c *Controller) Counters() Counters { return c.counters }
 
 // NewController builds a controller over freshly initialized DRAM
 // channels. policy may be nil at construction (STFM needs the
@@ -520,6 +551,7 @@ func (c *Controller) Tick(now int64) int64 {
 	if now%c.cfg.Timing.CPUCyclesPerDRAMCycle != 0 {
 		return c.nextWake
 	}
+	c.counters.ControllerEdges++
 	c.completeFinished(now)
 	c.policy.BeginCycle(now)
 	next := int64(dram.Horizon)
@@ -609,8 +641,11 @@ func (c *Controller) edgeCeil(t int64) int64 {
 // taken) both are rederived once and re-stamped. epoch must be
 // channel.BankEpoch(r.Loc.Bank), hoisted by the caller since it is
 // loop-invariant across one bank's queue on one edge.
-func refreshMemo(channel *dram.Channel, r *Request, epoch uint64) {
-	if r.cacheEpoch != epoch {
+func (c *Controller) refreshMemo(channel *dram.Channel, r *Request, epoch uint64) {
+	if r.cacheEpoch == epoch {
+		c.counters.TimingMemoHits++
+	} else {
+		c.counters.TimingMemoMisses++
 		r.cacheCmd = channel.NextCommand(r.Loc.Bank, r.Loc.Row, r.IsWrite)
 		r.cacheReadyAt = channel.CommandReadyAt(r.cacheCmd)
 		r.cacheEpoch = epoch
@@ -781,8 +816,9 @@ func (c *Controller) arbitrateChannel(ch int, now int64, draining, useWrites boo
 				m.draining == draining && m.useWrites == useWrites {
 				// Memo hit: rebuild only the winner's candidate from its
 				// (revalidated) timing memo.
+				c.counters.WinnerMemoHits++
 				r := m.winner
-				refreshMemo(channel, r, epoch)
+				c.refreshMemo(channel, r, epoch)
 				*slot = Candidate{
 					Req: r, Cmd: r.cacheCmd, Outcome: outcomeFor(r.cacheCmd.Kind), Channel: ch,
 					First: !r.Started, Ready: now >= r.cacheReadyAt,
@@ -801,6 +837,7 @@ func (c *Controller) arbitrateChannel(ch int, now int64, draining, useWrites boo
 				continue
 			}
 			// Memo miss: run the full tournament below, then store.
+			c.counters.WinnerMemoMisses++
 			bankMin := c.scanBank(ch, b, q, channel, epoch, now, draining, useWrites, chal, slot)
 			if bankMin < minReady {
 				minReady = bankMin
@@ -861,7 +898,7 @@ func (c *Controller) materializeChannel(ch int, now int64, useWrites bool) []Can
 				list = q.writes
 			}
 			for _, r := range list {
-				refreshMemo(channel, r, epoch)
+				c.refreshMemo(channel, r, epoch)
 				cands = append(cands, Candidate{
 					Req: r, Cmd: r.cacheCmd, Outcome: outcomeFor(r.cacheCmd.Kind), Channel: ch,
 					First: !r.Started, Ready: now >= r.cacheReadyAt,
@@ -880,6 +917,7 @@ func (c *Controller) materializeChannel(ch int, now int64, useWrites bool) []Can
 // guarantees at least one eligible request, so slot always holds a
 // winner on return.
 func (c *Controller) scanBank(ch, b int, q *bankQueue, channel *dram.Channel, epoch uint64, now int64, draining, useWrites bool, chal, slot *Candidate) int64 {
+	c.counters.ArbitrationScans++
 	minReady := int64(dram.Horizon)
 	res := c.reserved[ch][b]
 	have, locked := false, false
@@ -892,7 +930,7 @@ func (c *Controller) scanBank(ch, b int, q *bankQueue, channel *dram.Channel, ep
 			list = q.writes
 		}
 		for _, r := range list {
-			refreshMemo(channel, r, epoch)
+			c.refreshMemo(channel, r, epoch)
 			if r.cacheReadyAt < minReady {
 				minReady = r.cacheReadyAt
 			}
@@ -934,7 +972,7 @@ func (c *Controller) bankMinReady(q *bankQueue, channel *dram.Channel, epoch uin
 			list = q.writes
 		}
 		for _, r := range list {
-			refreshMemo(channel, r, epoch)
+			c.refreshMemo(channel, r, epoch)
 			if r.cacheReadyAt < minReady {
 				minReady = r.cacheReadyAt
 			}
@@ -968,7 +1006,7 @@ func (c *Controller) scheduleChannelBatch(ch int, now int64, draining, useWrites
 				list = q.writes
 			}
 			for _, r := range list {
-				refreshMemo(channel, r, epoch)
+				c.refreshMemo(channel, r, epoch)
 				if r.cacheReadyAt < minReady {
 					minReady = r.cacheReadyAt
 				}

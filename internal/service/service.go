@@ -67,8 +67,8 @@ type Options struct {
 	// no fork prefix, exactly the runs experiments.Runner.Alone issues —
 	// are spilled to this content-addressed directory, and submissions
 	// matching a stored baseline are served from it without queueing.
-	// Pointing the server and batch tools (stfm-experiments, stfm-sweep,
-	// stfm-bench -baseline-dir) at the same directory gives them one
+	// Pointing the server and batch tools (stfm-experiments and
+	// stfm-sweep -baseline-dir) at the same directory gives them one
 	// alone-run fleet. "" disables the store.
 	BaselineDir string
 	// Chaos installs the deterministic fault-injection harness on the

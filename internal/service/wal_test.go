@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -198,6 +200,66 @@ func TestWALAppendChaos(t *testing.T) {
 	if len(records) != 1 || records[0].Job != "j1-aaaaaaaa" {
 		t.Fatalf("replayed %d records, want only the intact first", len(records))
 	}
+}
+
+// FuzzWALReplay feeds arbitrary bytes through journal replay and the
+// per-job fold. Replay must never panic, and it may only return records
+// that were journaled verbatim: record i re-encodes to exactly line i
+// of the input, so every record comes from the intact prefix. Damage
+// before the last line is reported as a *WALError at the first damaged
+// line, and no record from that line or after it is returned.
+func FuzzWALReplay(f *testing.F) {
+	var journal []byte
+	for _, r := range []walRecord{
+		walSubmitRecord("j1-deadbeef"),
+		{Seq: 2, Type: walStart, Job: "j1-deadbeef"},
+		{Seq: 3, Type: walCheckpoint, Job: "j1-deadbeef", Cycle: 40_000, Path: "/x/j1.ckpt"},
+		{Seq: 4, Type: walComplete, Job: "j1-deadbeef", Status: StatusDone},
+	} {
+		line, err := encodeWALRecord(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		journal = append(journal, line...)
+	}
+	f.Add(journal)
+	f.Add(journal[:len(journal)-17]) // torn tail
+	flipped := bytes.Clone(journal)
+	flipped[bytes.IndexByte(flipped, '\n')+40] ^= 0x01 // bit flip in line 2
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), walName)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		records, walErr, err := replayWAL(path)
+		if err != nil {
+			return // an I/O-level refusal (e.g. an over-long line), not a decode
+		}
+		var lines []string
+		sc := bufio.NewScanner(bytes.NewReader(data))
+		sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
+		for sc.Scan() {
+			lines = append(lines, sc.Text())
+		}
+		if len(records) > len(lines) {
+			t.Fatalf("%d records from %d lines", len(records), len(lines))
+		}
+		if walErr != nil && len(records) != walErr.Line-1 {
+			t.Fatalf("damage at line %d but %d records returned", walErr.Line, len(records))
+		}
+		for i, r := range records {
+			line, err := encodeWALRecord(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.TrimSuffix(string(line), "\n"); got != lines[i] {
+				t.Fatalf("record %d re-encodes to %q, not input line %q", i, got, lines[i])
+			}
+		}
+		replayJobs(records)
+	})
 }
 
 // TestReplayJobs: the journal fold reconstructs per-job state in

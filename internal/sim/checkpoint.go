@@ -427,11 +427,7 @@ func (s *System) CheckpointAt(ctx context.Context, cycle int64) (data []byte, er
 		if next > cycle {
 			next = cycle
 		}
-		for s.nextSampleAt < next {
-			s.now = s.nextSampleAt
-			s.takeSample(s.now)
-		}
-		s.now = next
+		s.jumpTo(next)
 	}
 	return s.Checkpoint()
 }

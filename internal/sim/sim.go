@@ -292,6 +292,41 @@ type System struct {
 	tel          *telemetry.Collector
 	sampleEvery  int64
 	nextSampleAt int64
+
+	// counters holds the engine-side work counts; Counters adds the
+	// controller's.
+	counters Counters
+}
+
+// Counters are the simulation's machine-independent work counts
+// (DESIGN.md §10), read through System.Counters: how many steps the
+// engine took and how many cycles it jumped over, how many component
+// ticks those steps cost, and how the controller's arbitration memos
+// fared. Each is a plain increment on a branch the engine takes anyway
+// and nothing reads them back, so they never steer a schedule. They
+// are not part of Result, Config, the fingerprint or the checkpoint
+// payload: a restored System starts them at zero.
+//
+// A run started at cycle 0 obeys Steps + CyclesSkipped ==
+// Result.TotalCycles; dense runs skip nothing.
+type Counters struct {
+	// Steps counts calls of the per-cycle step (Tick or the run loop).
+	Steps int64
+	// Jumps counts the run loop's event-horizon jumps of at least one
+	// cycle, and CyclesSkipped the cycles they passed without a step.
+	Jumps, CyclesSkipped int64
+	// CoreTicks counts cpu.Core.Tick calls, over all cores.
+	CoreTicks int64
+	// Counters are the memory controller's edge and arbitration counts.
+	memctrl.Counters
+}
+
+// Counters returns the work counts accumulated since the System was
+// built or restored.
+func (s *System) Counters() Counters {
+	c := s.counters
+	c.Counters = s.ctrl.Counters()
+	return c
 }
 
 // NewSystem wires up a simulation of the given workload: one core per
@@ -559,6 +594,7 @@ func (s *System) Tick() { s.step() }
 // hierarchies' horizons are re-read after the cores run because core
 // activity (enqueues, cache hits) schedules new events for them.
 func (s *System) step() int64 {
+	s.counters.Steps++
 	now := s.now
 	if now == s.nextSampleAt {
 		// Snapshot state as of the start of this cycle, before any
@@ -583,6 +619,7 @@ func (s *System) step() int64 {
 		// to the current cycle. Dense runs tick unconditionally — they
 		// are the oracle the gating is checked against.
 		if s.cfg.DenseTick || c.NextAt() <= now {
+			s.counters.CoreTicks++
 			if n := c.Tick(now); n < next {
 				next = n
 			}
@@ -815,19 +852,7 @@ func (s *System) runLoop(ctx context.Context, sink *CheckpointSink) (res *Result
 		if next > nextSwitchAt {
 			next = nextSwitchAt
 		}
-		// Sampling boundaries inside the quiescent window still get
-		// their snapshots: jump to each boundary and sample there,
-		// exactly as a dense-ticked run would observe it — takeSample
-		// flushes the cores' lazy idle accounting up to the boundary.
-		// The components themselves stay untouched: a quiescent window
-		// costs the sampler a few appends, never a component tick. (A
-		// boundary equal to next is taken by the following step's
-		// start-of-cycle check.)
-		for s.nextSampleAt < next {
-			s.now = s.nextSampleAt
-			s.takeSample(s.now)
-		}
-		s.now = next
+		s.jumpTo(next)
 	}
 	res = s.finish()
 	if s.cfg.CheckInvariants {
@@ -839,6 +864,26 @@ func (s *System) runLoop(ctx context.Context, sink *CheckpointSink) (res *Result
 		return res, serr
 	}
 	return res, nil
+}
+
+// jumpTo advances a quiescent system from s.now to next without
+// stepping it. Sampling boundaries inside the window still get their
+// snapshots: jump to each boundary and sample there, exactly as a
+// dense-ticked run would observe it — takeSample flushes the cores'
+// lazy idle accounting up to the boundary. The components themselves
+// stay untouched: a quiescent window costs the sampler a few appends,
+// never a component tick. (A boundary equal to next is taken by the
+// following step's start-of-cycle check.)
+func (s *System) jumpTo(next int64) {
+	if skip := next - s.now; skip > 0 {
+		s.counters.Jumps++
+		s.counters.CyclesSkipped += skip
+	}
+	for s.nextSampleAt < next {
+		s.now = s.nextSampleAt
+		s.takeSample(s.now)
+	}
+	s.now = next
 }
 
 // finish freezes any still-running thread as truncated and assembles

@@ -16,7 +16,8 @@
 // event-stepping horizon, so sampling costs nothing in quiescent
 // windows. Everything is nil-guarded: with no Collector attached, the
 // hot paths pay a single pointer check (DESIGN.md Section 11 documents
-// the invariant; cmd/stfm-bench measures it).
+// the invariant; BenchmarkSteppingEvent and
+// BenchmarkSteppingEventTelemetry in the root package time it).
 package telemetry
 
 // Options selects which telemetry components a run collects. The zero
