@@ -186,6 +186,22 @@ type Core struct {
 	settled      int64
 	idleHasWork  bool // a parked cycle is a stall cycle (stallAny)
 	idleMemStall bool // ... and a Tshared memory-stall cycle (memStall)
+
+	// steady records that the window [settled, nextAt) is a steady-compute
+	// stretch rather than an idle park: every cycle in it commits Width
+	// instructions from the head block and fetches Width from the current
+	// gap (see steadyStretch), and FlushIdle applies it by arithmetic.
+	steady bool
+	// commitMark is the commit count a stretch may not skip past: the
+	// core ticks at the cycle whose commits bring Committed() to it, so
+	// an engine that freezes a thread on reaching its instruction target
+	// sees the crossing at exactly the cycle a dense run does.
+	commitMark int64
+
+	// idleCycles and fastForwarded count the cycles FlushIdle applied in
+	// bulk, by branch: work counters only, never read back and not part
+	// of the checkpoint.
+	idleCycles, fastForwarded int64
 }
 
 // New builds a core with the given id over a memory port and an
@@ -196,10 +212,11 @@ func New(id int, cfg Config, mem Memory, stream trace.Stream) *Core {
 	}
 	c := &Core{
 		id: id, cfg: cfg, mem: mem, stream: stream,
-		win:      make([]winEntry, cfg.WindowSize+1),
-		tail:     -1,
-		unissued: make([]int32, 0, cfg.WindowSize+1),
-		bySeq:    make([]int32, 2*cfg.WindowSize),
+		win:        make([]winEntry, cfg.WindowSize+1),
+		tail:       -1,
+		unissued:   make([]int32, 0, cfg.WindowSize+1),
+		bySeq:      make([]int32, 2*cfg.WindowSize),
+		commitMark: Horizon,
 	}
 	mem.SetLoadSink(c)
 	return c
@@ -212,6 +229,33 @@ func (c *Core) ring(i int) int {
 		j -= len(c.win)
 	}
 	return j
+}
+
+// SetCommitMark sets the commit count a steady-compute stretch may not
+// skip past (Horizon, the default, sets none). The core is ticked at the
+// cycle its commits first reach mark, so a caller polling Committed()
+// after each cycle's ticks sees the crossing exactly when a densely
+// ticked core would. A mark already reached clamps nothing. Set it while
+// the core's counters are settled — before its first tick, or right after
+// a tick — or to a mark its running stretch has not yet reached.
+func (c *Core) SetCommitMark(mark int64) {
+	c.commitMark = mark
+	if c.steady && c.committed < mark {
+		// Cycle settled+j-1 of the running stretch brings the count to
+		// committed+j*Width: end the stretch at the first that reaches mark.
+		w := int64(c.cfg.Width)
+		if at := c.settled + (mark-c.committed+w-1)/w - 1; at < c.nextAt {
+			c.nextAt = at
+		}
+	}
+}
+
+// FlushedCycles returns how many cycles FlushIdle has applied in bulk:
+// idle cycles of a parked core, and fast-forwarded steady-compute
+// cycles. Every cycle of the core's run is either ticked or one of
+// these.
+func (c *Core) FlushedCycles() (idle, fastForwarded int64) {
+	return c.idleCycles, c.fastForwarded
 }
 
 // ID returns the core's index.
@@ -265,6 +309,7 @@ func (c *Core) MCPI() float64 {
 func (c *Core) Tick(now int64) int64 {
 	c.FlushIdle(now)
 	c.settled = now + 1
+	c.steady = false
 	c.cycles++
 	c.fetchedMem = false
 	committed := c.commit()
@@ -288,6 +333,10 @@ func (c *Core) Tick(now int64) int64 {
 		}
 	}
 	n := c.nextEvent(now)
+	if k := c.steadyStretch(); k > 0 {
+		c.steady = true
+		n = now + 1 + k
+	}
 	c.nextAt = n
 	if n >= Horizon {
 		// The engine may skip this core — the jump target is bounded
@@ -353,6 +402,41 @@ func (c *Core) parkSafe() bool {
 	return true
 }
 
+// steadyStretch returns how many cycles after the current one are
+// steady compute, judged from post-tick state. A cycle is steady when
+// its Tick would do nothing but retire Width compute instructions from
+// the head block and fetch Width from the current gap into the open
+// tail entry: the head holds at least Width compute, issueLoads has
+// nothing it could send (parkSafe: every waiting load is held by a busy
+// dependence chain of this core, which only a LoadDone can release, and
+// LoadDone wakes the core), and fetch sits inside a gap of at least
+// Width. Commit frees Width slots in a window of at most WindowSize, so
+// fetch always has room for Width and occupancy holds. The stretch ends
+// at the first cycle that breaks one of these: the head block drains
+// below Width (unless the head is the tail, which refills as fast as it
+// drains), the gap runs short so fetch would pull a memory op or a
+// stream access, or the commit count reaches commitMark.
+func (c *Core) steadyStretch() int64 {
+	w := int64(c.cfg.Width)
+	if c.n == 0 || !c.fetching || c.tail < 0 || c.gapLeft < w {
+		return 0
+	}
+	head := &c.win[c.head]
+	if head.compute < w || (len(c.unissued) > 0 && !c.parkSafe()) {
+		return 0
+	}
+	k := c.gapLeft / w
+	if c.tail != c.head {
+		k = min(k, head.compute/w)
+	}
+	if c.committed < c.commitMark {
+		// Cycle j of the stretch brings the count to committed+j*w; the
+		// first j reaching the mark is ticked, not skipped.
+		k = min(k, (c.commitMark-c.committed+w-1)/w-1)
+	}
+	return k
+}
+
 // nextEvent reports, from post-tick state, whether the core can act at
 // now+1 without any external event. Cases that need an external wake —
 // an unissued load whose port or dependence must clear, a rejected
@@ -362,8 +446,11 @@ func (c *Core) parkSafe() bool {
 func (c *Core) nextEvent(now int64) int64 {
 	if c.n > 0 {
 		head := &c.win[c.head]
-		if head.compute > 0 || (head.hasMem && head.memDone) {
-			return now + 1 // commit can retire next cycle
+		if head.compute > 0 || !head.hasMem || head.memDone {
+			// Commit can retire next cycle — or pop a compute-only head
+			// that drained as the budget ran out, which a finite trace
+			// can leave as the last entry.
+			return now + 1
 		}
 	}
 	if c.fetchedMem {
@@ -388,16 +475,21 @@ func (c *Core) nextEvent(now int64) int64 {
 }
 
 // FlushIdle brings the architected counters up to date through cycle
-// now-1, bulk-accounting the skipped idle window [settled, now) at the
-// rates recorded when the core parked. It applies exactly the per-cycle
-// bookkeeping a dense Tick performs on inert cycles — the cycle counter
-// always advances; the stall counters advance at the park-time
-// classification (see recordIdleRates for why that classification is
-// exact for the whole window) — so lazy accounting is bit-identical to
-// dense ticking. Callers must flush before reading MemStallCycles,
-// StallCycles or Cycles of a possibly-skipped core; Tick flushes
-// itself. Flushing is idempotent and monotone: a second call with the
-// same or an earlier cycle is a no-op.
+// now-1, applying the skipped window [settled, now) in bulk. It applies
+// exactly the per-cycle bookkeeping a dense Tick performs on those
+// cycles, so lazy accounting is bit-identical to dense ticking:
+//   - a steady-compute stretch (steadyStretch) commits Width per cycle
+//     from the head block and fetches Width per cycle from the gap into
+//     the tail entry, keeping occupancy; a cycle that commits adds
+//     nothing to the stall counters, so Tshared stays exact;
+//   - an idle park advances the stall counters at the park-time
+//     classification (see recordIdleRates for why that classification
+//     is exact for the whole window).
+//
+// The cycle counter always advances. Callers must flush before reading
+// Committed, MemStallCycles, StallCycles or Cycles of a possibly-skipped
+// core; Tick flushes itself. Flushing is idempotent and monotone: a
+// second call with the same or an earlier cycle is a no-op.
 func (c *Core) FlushIdle(now int64) {
 	k := now - c.settled
 	if k <= 0 {
@@ -405,6 +497,21 @@ func (c *Core) FlushIdle(now int64) {
 	}
 	c.settled = now
 	c.cycles += k
+	if c.steady {
+		c.fastForwarded += k
+		n := k * int64(c.cfg.Width)
+		if n > c.gapLeft {
+			panic(fmt.Sprintf("cpu: core %d fast-forwarded %d cycles past its steady stretch", c.id, k))
+		}
+		c.committed += n
+		c.gapLeft -= n
+		if c.tail != c.head {
+			c.win[c.head].compute -= n
+			c.win[c.tail].compute += n
+		}
+		return
+	}
+	c.idleCycles += k
 	if !c.idleHasWork {
 		return
 	}

@@ -61,7 +61,12 @@ type CoreState struct {
 	IdleMemStall bool  `json:"idleMemStall"`
 }
 
-// SaveState captures the core's mutable state.
+// SaveState captures the core's mutable state. The core must be flushed
+// (FlushIdle) to the snapshot cycle first. A core in a steady-compute
+// stretch is then saved with NextAt at that cycle: the stretch itself is
+// not part of the snapshot, and ticking a steady core on a cycle it
+// skipped does exactly what the skip would have done, so the restored
+// core ticks at once and recomputes the same stretch.
 func (c *Core) SaveState() CoreState {
 	st := CoreState{
 		Window:       make([]WinEntrySnapshot, c.n),
@@ -92,6 +97,9 @@ func (c *Core) SaveState() CoreState {
 			L2Miss: e.l2Miss, Issued: e.issued, Addr: e.addr,
 			Chain: e.chain, Dep: e.dep, Seq: e.seq,
 		}
+	}
+	if c.steady {
+		st.NextAt = c.settled
 	}
 	if c.tail >= 0 {
 		st.TailIdx = c.position(c.tail)
@@ -180,6 +188,7 @@ func (c *Core) RestoreState(st CoreState) error {
 	c.issueSeq = st.IssueSeq
 	c.nextAt = st.NextAt
 	c.settled = st.Settled
+	c.steady = false
 	c.idleHasWork = st.IdleHasWork
 	c.idleMemStall = st.IdleMemStall
 	return nil

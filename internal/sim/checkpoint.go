@@ -113,6 +113,10 @@ func (s *System) Checkpoint() ([]byte, error) {
 		p.Generators = append(p.Generators, g.SaveState())
 	}
 	for _, c := range s.cores {
+		// Settle the lazy idle and fast-forward accounting first: a
+		// snapshot holds no stretch, only the counters it produced (see
+		// cpu.Core.SaveState).
+		c.FlushIdle(s.now)
 		p.Cores = append(p.Cores, c.SaveState())
 	}
 	for _, h := range s.hier {
@@ -302,6 +306,7 @@ func Restore(data []byte, opts *RestoreOptions) (sys *System, err error) {
 	copy(s.frozen, p.Frozen)
 	copy(s.results, p.Results)
 	copy(s.targets, p.Targets)
+	s.setCommitMarks()
 	// Sampling cadence is an attachment of the restored run, not the
 	// snapshotted one: keep the saved cursor only when the cadence
 	// matches, otherwise restart on the next boundary. Either way the

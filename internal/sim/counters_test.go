@@ -14,11 +14,13 @@ import (
 // the caches (shallow queues, the event engine skips many cycles).
 //
 // Three kinds of assertion:
-//   - the conservation law: every cycle of a run from cycle 0 is
+//   - the conservation laws: every cycle of a run from cycle 0 is
 //     either stepped or skipped, so Steps + CyclesSkipped equals
 //     Result.TotalCycles (and the cycle a CheckpointAt warm-up stops
-//     at), a dense run skips nothing, and a restored System starts
-//     from zero;
+//     at); every core cycle is either ticked, idle or fast-forwarded,
+//     so CoreTicks + CoreCyclesIdle + CoreCyclesFastForwarded equals
+//     cores × TotalCycles; a dense run skips nothing and ticks every
+//     core cycle, and a restored System starts from zero;
 //   - FR-FCFS and STFM are OrderingPolicies, so a full bank scan runs
 //     exactly on a winner-memo miss;
 //   - upper bounds on the work counts. A change that does more work
@@ -45,10 +47,10 @@ func TestWorkCounters(t *testing.T) {
 		max  bounds
 	}{
 		{"stfm-16c", stfm16, workloads.SixteenCoreMixes()[1], bounds{
-			steps: 615_061, coreTicks: 3_514_025, edges: 61_532, scans: 110_601, winnerMisses: 110_601,
+			steps: 126_866, coreTicks: 106_065, edges: 61_532, scans: 110_601, winnerMisses: 110_601,
 		}},
 		{"caches-4c", caches4, workloads.SampleFourCore()[8], bounds{
-			steps: 228_301, coreTicks: 288_869, edges: 25_114, scans: 14_105, winnerMisses: 14_105,
+			steps: 34_562, coreTicks: 14_062, edges: 25_114, scans: 14_105, winnerMisses: 14_105,
 		}},
 	}
 	for _, tc := range cases {
@@ -66,11 +68,18 @@ func TestWorkCounters(t *testing.T) {
 				}
 				return s.Counters(), res
 			}
+			coreCycles := func(mode string, c Counters, res *Result) {
+				if got, want := c.CoreTicks+c.CoreCyclesIdle+c.CoreCyclesFastForwarded, int64(len(res.Threads))*res.TotalCycles; got != want {
+					t.Errorf("%s: core ticks %d + idle %d + fast-forwarded %d = %d, want cores × cycles = %d",
+						mode, c.CoreTicks, c.CoreCyclesIdle, c.CoreCyclesFastForwarded, got, want)
+				}
+			}
 			c, res := run(false)
 			t.Logf("event: %d cycles, %+v", res.TotalCycles, c)
 			if c.Steps+c.CyclesSkipped != res.TotalCycles {
 				t.Errorf("event: steps %d + skipped %d != %d total cycles", c.Steps, c.CyclesSkipped, res.TotalCycles)
 			}
+			coreCycles("event", c, res)
 			if c.ArbitrationScans != c.WinnerMemoMisses {
 				t.Errorf("%d arbitration scans, %d winner-memo misses: an OrderingPolicy scans exactly on a miss",
 					c.ArbitrationScans, c.WinnerMemoMisses)
@@ -80,6 +89,11 @@ func TestWorkCounters(t *testing.T) {
 				t.Errorf("dense: %d steps, %d jumps, %d skipped for %d total cycles; want one step per cycle",
 					dc.Steps, dc.Jumps, dc.CyclesSkipped, dres.TotalCycles)
 			}
+			if dc.CoreCyclesIdle != 0 || dc.CoreCyclesFastForwarded != 0 {
+				t.Errorf("dense: %d idle and %d fast-forwarded core cycles; want every core cycle ticked",
+					dc.CoreCyclesIdle, dc.CoreCyclesFastForwarded)
+			}
+			coreCycles("dense", dc, dres)
 			warm, err := NewSystem(tc.cfg, tc.mix.Profiles)
 			if err != nil {
 				t.Fatal(err)

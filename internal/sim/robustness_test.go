@@ -104,6 +104,29 @@ func TestWatchdogAbortsLivelock(t *testing.T) {
 	}
 }
 
+// TestWatchdogSeesFastForwardedCommits: a core in a steady-compute
+// stretch commits lazily (cpu.Core.FlushIdle), so the watchdog must
+// settle every core before it reads the commit counts. povray's compute
+// gaps (MPKI 0.09) run to thousands of cycles with no DRAM command, far
+// longer than a 1000-cycle window; an unsettled read would see no
+// progress and abort a healthy run with a *StallError.
+func TestWatchdogSeesFastForwardedCommits(t *testing.T) {
+	cfg := DefaultConfig(PolicyFRFCFS, 1)
+	cfg.InstrTarget = 200_000
+	cfg.WatchdogCycles = 1000
+	profs := profilesByName(t, "povray")
+	res, err := Run(cfg, profs)
+	if err != nil {
+		t.Fatalf("healthy compute-bound run aborted: %v", err)
+	}
+	cfg.DenseTick = true
+	dense, err := Run(cfg, profs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsEqual(t, "event vs dense", res, dense)
+}
+
 // TestCheckInvariantsSmokeAllPolicies: the self-checks hold on every
 // implemented policy at a watchdog cadence tight enough to exercise
 // them many times per run.

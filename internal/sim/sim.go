@@ -317,6 +317,13 @@ type Counters struct {
 	Jumps, CyclesSkipped int64
 	// CoreTicks counts cpu.Core.Tick calls, over all cores.
 	CoreTicks int64
+	// CoreCyclesIdle and CoreCyclesFastForwarded count the core cycles
+	// applied in bulk instead of ticked (cpu.Core.FlushedCycles): idle
+	// cycles of parked cores, and steady-compute cycles. A run started at
+	// cycle 0 obeys CoreTicks + CoreCyclesIdle + CoreCyclesFastForwarded
+	// == cores × Result.TotalCycles; dense runs tick every core cycle, so
+	// both are 0.
+	CoreCyclesIdle, CoreCyclesFastForwarded int64
 	// Counters are the memory controller's edge and arbitration counts.
 	memctrl.Counters
 }
@@ -326,6 +333,11 @@ type Counters struct {
 func (s *System) Counters() Counters {
 	c := s.counters
 	c.Counters = s.ctrl.Counters()
+	for _, core := range s.cores {
+		idle, ff := core.FlushedCycles()
+		c.CoreCyclesIdle += idle
+		c.CoreCyclesFastForwarded += ff
+	}
 	return c
 }
 
@@ -443,7 +455,22 @@ func NewSystem(cfg Config, profiles []trace.Profile) (*System, error) {
 	s.frozen = make([]bool, n)
 	s.results = make([]ThreadResult, n)
 	s.targets = cfg.InstrTargets(profiles)
+	s.setCommitMarks()
 	return s, nil
+}
+
+// setCommitMarks hands each running thread's instruction target to its
+// core as the commit count a steady-compute stretch may not skip past,
+// so step's freeze check sees every crossing on the cycle it happens
+// (cpu.Core.SetCommitMark). Frozen threads set none.
+func (s *System) setCommitMarks() {
+	for i, c := range s.cores {
+		mark := s.targets[i]
+		if s.frozen[i] {
+			mark = horizon
+		}
+		c.SetCommitMark(mark)
+	}
 }
 
 // InstrTargets returns the per-thread instruction targets the run
@@ -611,22 +638,30 @@ func (s *System) step() int64 {
 	next := int64(horizon)
 	for i, c := range s.cores {
 		// A core whose next required tick is still in the future is
-		// provably inert this cycle: skip it entirely — the stall
-		// bookkeeping its Tick would have performed is applied lazily
-		// (cpu.Core.FlushIdle) when the core next runs or its counters
-		// are read. NextAt is re-read here, after the controller and
-		// hierarchy acted, because the load completions they deliver pull it
-		// to the current cycle. Dense runs tick unconditionally — they
-		// are the oracle the gating is checked against.
-		if s.cfg.DenseTick || c.NextAt() <= now {
+		// provably inert or in steady compute this cycle: skip it
+		// entirely — the bookkeeping its Tick would have performed is
+		// applied lazily (cpu.Core.FlushIdle) when the core next runs or
+		// its counters are read. NextAt is re-read here, after the
+		// controller and hierarchy acted, because the load completions
+		// they deliver pull it to the current cycle. Dense runs tick
+		// unconditionally — they are the oracle the gating is checked
+		// against.
+		if at := c.NextAt(); s.cfg.DenseTick || at <= now {
 			s.counters.CoreTicks++
 			if n := c.Tick(now); n < next {
 				next = n
 			}
+		} else if at < next {
+			// A skipped core in a steady-compute stretch still bounds
+			// the jump: it must tick where the stretch ends.
+			next = at
 		}
 		if !s.frozen[i] && (c.Committed() >= s.targets[i] || c.Done()) {
 			// Reaching the instruction target — or draining a finite
-			// trace — ends the thread's measurement window.
+			// trace — ends the thread's measurement window. A skipped
+			// core's Committed() lags only inside a steady stretch, and
+			// its commit mark ends the stretch on the cycle the target
+			// is reached, so this fires on the dense run's cycle.
 			s.freeze(i, now+1, false)
 		}
 	}
@@ -710,6 +745,7 @@ func (s *System) freeze(i int, now int64, truncated bool) {
 	}
 	s.results[i] = r
 	s.frozen[i] = true
+	c.SetCommitMark(horizon)
 }
 
 // Run advances the system until every thread has reached the
@@ -928,6 +964,7 @@ func (s *System) finish() *Result {
 // a write drain, a precharge — moves at least one of them.
 func (s *System) progressCounters() (committed, commands int64) {
 	for _, c := range s.cores {
+		c.FlushIdle(s.now)
 		committed += c.Committed()
 	}
 	for i := 0; i < s.ctrl.Config().Geometry.Channels; i++ {
@@ -941,6 +978,7 @@ func (s *System) progressCounters() (committed, commands int64) {
 func (s *System) stallError(window int64) *StallError {
 	e := &StallError{Cycle: s.now, Window: window, Queues: s.ctrl.Snapshot(s.now)}
 	for i, c := range s.cores {
+		c.FlushIdle(s.now)
 		d := ThreadDiag{
 			Benchmark:   s.profiles[i].Name,
 			Committed:   c.Committed(),

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"stfm/internal/core"
@@ -359,6 +360,37 @@ func TestTCMRuns(t *testing.T) {
 	for _, th := range res.Threads {
 		if th.Truncated || th.IPC <= 0 {
 			t.Errorf("%s: truncated=%v ipc=%v", th.Benchmark, th.Truncated, th.IPC)
+		}
+	}
+}
+
+// TestEquivalenceFiniteTraceEndingInWriteback: a finite trace whose
+// last access is a writeback leaves a compute-only entry at the window
+// head; when its last instructions drain exactly as the commit budget
+// runs out, the core must still pop it on the next cycle and report
+// Done — under event stepping as under dense ticking — so the thread's
+// window closes on the same cycle instead of running to the cycle cap.
+func TestEquivalenceFiniteTraceEndingInWriteback(t *testing.T) {
+	traces := []string{"0 L 64\n8 W 128\n", "4 L 4096\n30 L 8192 0 1\n11 W 64\n"}
+	run := func(dense bool) *Result {
+		cfg := DefaultConfig(PolicyFRFCFS, 2)
+		cfg.InstrTarget = 1_000_000
+		cfg.MaxCycles = 200_000
+		cfg.DenseTick = dense
+		for _, tr := range traces {
+			cfg.Streams = append(cfg.Streams, trace.NewFileStream(strings.NewReader(tr)))
+		}
+		res, err := Run(cfg, profilesByName(t, "mcf", "libquantum"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	event, dense := run(false), run(true)
+	assertResultsEqual(t, "event vs dense", event, dense)
+	for i, th := range event.Threads {
+		if th.Truncated {
+			t.Errorf("thread %d ran to the cycle cap; its finite trace drained long before", i)
 		}
 	}
 }
