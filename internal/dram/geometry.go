@@ -48,16 +48,30 @@ func DefaultGeometry(channels int) Geometry {
 	}
 }
 
+// MaxBanksPerChannel and MaxRowsPerBank bound the geometry. The memory
+// controller keeps one bit per bank of a channel in a uint64 (its
+// occupied-bank mask and PAR-BS's reservation lock), and STFM's
+// LastRowAddress registers hold a row index in an int32.
+const (
+	MaxBanksPerChannel = 64
+	MaxRowsPerBank     = 1 << 31
+)
+
 // Validate reports an error if the geometry is not usable (non-positive
-// or non-power-of-two fields where the address mapping requires them).
+// or non-power-of-two fields where the address mapping requires them, or
+// sizes beyond MaxBanksPerChannel and MaxRowsPerBank).
 func (g Geometry) Validate() error {
 	switch {
 	case g.Channels <= 0:
 		return fmt.Errorf("dram: Channels must be positive, got %d", g.Channels)
 	case g.BanksPerChannel <= 0 || !isPow2(g.BanksPerChannel):
 		return fmt.Errorf("dram: BanksPerChannel must be a positive power of two, got %d", g.BanksPerChannel)
+	case g.BanksPerChannel > MaxBanksPerChannel:
+		return fmt.Errorf("dram: BanksPerChannel must be at most %d, got %d", MaxBanksPerChannel, g.BanksPerChannel)
 	case g.RowsPerBank <= 0 || !isPow2(g.RowsPerBank):
 		return fmt.Errorf("dram: RowsPerBank must be a positive power of two, got %d", g.RowsPerBank)
+	case int64(g.RowsPerBank) > MaxRowsPerBank:
+		return fmt.Errorf("dram: RowsPerBank must be at most %d, got %d", MaxRowsPerBank, g.RowsPerBank)
 	case g.LineBytes <= 0 || !isPow2(g.LineBytes):
 		return fmt.Errorf("dram: LineBytes must be a positive power of two, got %d", g.LineBytes)
 	case g.RowBufferBytes < g.LineBytes || !isPow2(g.RowBufferBytes):

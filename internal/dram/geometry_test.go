@@ -32,6 +32,8 @@ func TestGeometryValidateErrors(t *testing.T) {
 		{"non-pow2 banks", func(g *Geometry) { g.BanksPerChannel = 6 }},
 		{"zero banks", func(g *Geometry) { g.BanksPerChannel = 0 }},
 		{"non-pow2 rows", func(g *Geometry) { g.RowsPerBank = 1000 }},
+		{"128 banks", func(g *Geometry) { g.BanksPerChannel = 128 }},
+		{"2^32 rows", func(g *Geometry) { g.RowsPerBank = 1 << 32 }},
 		{"zero lines", func(g *Geometry) { g.LineBytes = 0 }},
 		{"row buffer < line", func(g *Geometry) { g.RowBufferBytes = 32 }},
 		{"non-pow2 row buffer", func(g *Geometry) { g.RowBufferBytes = 3000 }},
@@ -42,6 +44,17 @@ func TestGeometryValidateErrors(t *testing.T) {
 		if err := g.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", c.name)
 		}
+	}
+}
+
+// TestGeometryValidateBounds: the largest geometry the controller's
+// one-word bank masks and STFM's int32 row registers can hold passes.
+func TestGeometryValidateBounds(t *testing.T) {
+	g := DefaultGeometry(1)
+	g.BanksPerChannel = MaxBanksPerChannel
+	g.RowsPerBank = MaxRowsPerBank
+	if err := g.Validate(); err != nil {
+		t.Errorf("%d banks × %d rows: Validate() = %v, want nil", g.BanksPerChannel, g.RowsPerBank, err)
 	}
 }
 

@@ -58,6 +58,8 @@ func (c *Controller) ServicedWrites() int64 {
 //   - the queued-read/-write counters (global and per-channel) match
 //     the bank-queue contents, every request sits in the bank queue its
 //     address maps to, and per-thread queued counts match the queues;
+//   - each channel's occupied-bank mask has bit b set exactly when
+//     bank b's queue is non-empty;
 //   - the incremental per-thread per-bank waiting index (queuedBank /
 //     queuedBanks, backing the O(1) View.QueuedBanks query) matches a
 //     from-scratch recount;
@@ -89,6 +91,11 @@ func (c *Controller) CheckInvariants() error {
 	for idx := range c.queues {
 		ch, bank := idx/c.banksPer, idx%c.banksPer
 		q := &c.queues[idx]
+		set := c.occupied[ch]&(1<<uint(bank)) != 0
+		if n := len(q.reads) + len(q.writes); set != (n > 0) {
+			return fmt.Errorf("memctrl: channel %d occupied-bank mask bit %d is %v, but the bank queues %d requests",
+				ch, bank, set, n)
+		}
 		reads += len(q.reads)
 		chReads[ch] += len(q.reads)
 		for _, r := range q.reads {

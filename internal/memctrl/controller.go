@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"stfm/internal/dram"
 	"stfm/internal/telemetry"
@@ -146,18 +147,25 @@ type Controller struct {
 	// channel's bank queues), so empty channels are skipped in O(1).
 	chReads  []int
 	chWrites []int
-	// scratch is the candidate slice of the channel being scheduled,
-	// materialized only when a command issues (for Policy.OnSchedule) or
-	// when a BatchPolicy needs the waiting set; bankCand holds each
+	// occupied[ch] has bit b set exactly when bank b of channel ch has a
+	// non-empty queue (reads or writes), so arbitration and the delayed
+	// set visit only occupied banks. Geometry.Validate caps
+	// BanksPerChannel at 64, which makes one word per channel enough.
+	occupied []uint64
+	// scratch backs the candidate sets of the channel being scheduled:
+	// the PAR-BS waiting set (BatchPolicy.PrepareCycle), then the set
+	// handed to Policy.OnSchedule (delayedSet). bankCand holds each
 	// bank's level-1 winner slot, bankBest the per-bank winner pointers,
-	// and challenger is the slot candidates are staged in before
-	// comparison (policies receive *Candidate, and a pointer into
-	// controller-owned memory keeps the edge path free of
-	// escape-analysis heap allocations). Channels are scheduled one at a
-	// time, so one set serves them all.
+	// bankMin each occupied bank's minimum CommandReadyAt (or a lower
+	// bound of it) as this edge's arbitration saw it, and challenger is
+	// the slot candidates are staged in before comparison (policies
+	// receive *Candidate, and a pointer into controller-owned memory
+	// keeps the edge path free of escape-analysis heap allocations).
+	// Channels are scheduled one at a time, so one set serves them all.
 	scratch    []Candidate
 	bankCand   []Candidate
 	bankBest   []*Candidate
+	bankMin    []int64
 	challenger Candidate
 	// inFlight holds every request whose column access has issued and
 	// whose completion time is pending, in issue order (scrambled by
@@ -171,11 +179,11 @@ type Controller struct {
 	// rescan is skipped until then. The cache is invalidated (set to 0)
 	// by every event that can change the channel's candidate set or
 	// timing: an enqueue to the channel, a command issue on it, a
-	// refresh, and any change to the global write-buffer occupancy
-	// (which feeds every channel's drain hysteresis and write
-	// eligibility). Between invalidations the channel's queues, bank
-	// state, and eligibility are provably constant, so skipped edges
-	// compute nothing a scan would.
+	// refresh, and a change of the global write-buffer occupancy that
+	// flips the channel's drain hysteresis (writesChanged) — the only
+	// way occupancy enters its eligibility. Between invalidations the
+	// channel's queues, bank state, and eligibility are provably
+	// constant, so skipped edges compute nothing a scan would.
 	chHorizon []int64
 	// due is completeFinished's scratch: the requests completing on the
 	// current edge, gathered from the in-flight list and fired in
@@ -225,7 +233,8 @@ type Controller struct {
 	reserved [][]*Request
 
 	// CommandTrace, if non-nil, receives every issued command (used by
-	// tests and the trace inspection tool).
+	// tests), just before the issue takes effect: the controller and the
+	// channel still hold the state the arbitration saw.
 	CommandTrace func(now int64, ch int, cmd dram.Command, req *Request)
 
 	// trace receives request lifecycle and command events when
@@ -261,6 +270,9 @@ type Counters struct {
 	// ControllerEdges counts Tick calls that landed on a DRAM clock
 	// edge and did edge work (calls between edges return early).
 	ControllerEdges int64
+	// ChannelScans counts scheduleChannel calls: channel visits on an
+	// edge that missed the channel's cached no-issue horizon.
+	ChannelScans int64
 	// ArbitrationScans counts full level-1 bank tournaments (scanBank).
 	// Under an OrderingPolicy a scan runs only on a winner-memo miss, so
 	// it equals WinnerMemoMisses there.
@@ -273,6 +285,9 @@ type Counters struct {
 	// revalidations whose bank epoch matched (cached NextCommand and
 	// CommandReadyAt reused) or moved (both rederived).
 	TimingMemoHits, TimingMemoMisses int64
+	// DelayedCandidates counts the candidates handed to
+	// Policy.OnSchedule, summed over issued commands (delayedSet).
+	DelayedCandidates int64
 }
 
 // Counters returns the work counts accumulated since the controller was
@@ -315,10 +330,12 @@ func NewController(cfg Config, policy Policy) (*Controller, error) {
 		memo:           make([]bankMemo, cfg.Geometry.Channels*banks),
 		chReads:        make([]int, cfg.Geometry.Channels),
 		chWrites:       make([]int, cfg.Geometry.Channels),
+		occupied:       make([]uint64, cfg.Geometry.Channels),
 		chHorizon:      make([]int64, cfg.Geometry.Channels),
 		scratch:        make([]Candidate, 0, bufCap),
 		bankCand:       make([]Candidate, banks),
 		bankBest:       make([]*Candidate, banks),
+		bankMin:        make([]int64, banks),
 		inFlight:       make([]*Request, 0, cfg.Geometry.Channels*bufCap),
 		due:            make([]*Request, 0, bufCap),
 		free:           make([]*Request, 0, bufCap),
@@ -458,6 +475,7 @@ func (c *Controller) EnqueueRead(now int64, thread int, lineAddr uint64, owner C
 	q := &c.queues[idx]
 	q.reads = append(q.reads, r)
 	q.ver++
+	c.occupied[r.Loc.Channel] |= 1 << uint(r.Loc.Bank)
 	c.chReads[r.Loc.Channel]++
 	c.chHorizon[r.Loc.Channel] = 0
 	c.queuedReads++
@@ -484,14 +502,11 @@ func (c *Controller) EnqueueWrite(now int64, thread int, lineAddr uint64) bool {
 	q := &c.queues[r.Loc.Channel*c.banksPer+r.Loc.Bank]
 	q.writes = append(q.writes, r)
 	q.ver++
+	c.occupied[r.Loc.Channel] |= 1 << uint(r.Loc.Bank)
 	c.chWrites[r.Loc.Channel]++
 	c.queuedWrites++
 	c.enqueuedWrites++
-	// The write-buffer occupancy feeds every channel's drain
-	// hysteresis, so a change invalidates all cached horizons.
-	for i := range c.chHorizon {
-		c.chHorizon[i] = 0
-	}
+	c.writesChanged(r.Loc.Channel)
 	if c.trace != nil {
 		c.traceLifecycle(telemetry.EvEnqueue, now, r)
 	}
@@ -729,6 +744,7 @@ func (c *Controller) completeFinished(now int64) {
 // candidate becoming ready wakes the controller even if it then
 // loses): conservative, and therefore exact.
 func (c *Controller) scheduleChannel(ch int, now int64) (issued bool, horizon int64) {
+	c.counters.ChannelScans++
 	draining, useWrites, hasWork := c.eligibility(ch)
 	c.draining[ch] = draining
 	if !hasWork {
@@ -741,13 +757,10 @@ func (c *Controller) scheduleChannel(ch int, now int64) (issued bool, horizon in
 	if best == nil {
 		return false, h
 	}
-	// A command issues: materialize the channel's full waiting set for
-	// the policy's OnSchedule accounting (and the inversion tracer).
-	cands := c.materializeChannel(ch, now, useWrites)
 	if c.trace != nil {
-		c.traceInversion(now, ch, best, c.bankBest)
+		c.traceInversion(now, ch, best)
 	}
-	c.issue(ch, now, best, cands)
+	c.issue(ch, now, best, c.delayedSet(ch, now, useWrites, best))
 	return true, 0
 }
 
@@ -763,15 +776,22 @@ func (c *Controller) scheduleChannel(ch int, now int64) (issued bool, horizon in
 // watermark; they are also eligible opportunistically when the channel
 // has no waiting reads.
 func (c *Controller) eligibility(ch int) (draining, useWrites, hasWork bool) {
-	draining = c.draining[ch]
-	if c.queuedWrites >= c.cfg.WriteDrainHigh {
-		draining = true
-	} else if c.queuedWrites <= c.cfg.WriteDrainLow {
-		draining = false
-	}
+	draining = c.drainState(ch)
 	useWrites = (draining || c.chReads[ch] == 0) && c.chWrites[ch] > 0
 	hasWork = c.chReads[ch] > 0 || useWrites
 	return draining, useWrites, hasWork
+}
+
+// drainState applies the write-drain hysteresis to the channel's sticky
+// draining flag at the current global write-buffer occupancy.
+func (c *Controller) drainState(ch int) bool {
+	switch {
+	case c.queuedWrites >= c.cfg.WriteDrainHigh:
+		return true
+	case c.queuedWrites <= c.cfg.WriteDrainLow:
+		return false
+	}
+	return c.draining[ch]
 }
 
 // arbitrateChannel runs the paper's two-level tournament for one
@@ -801,10 +821,13 @@ func (c *Controller) arbitrateChannel(ch int, now int64, draining, useWrites boo
 	// reserved[ch][b] changes only when a command issues to the bank,
 	// which bumps its epoch).
 	bankBest := c.bankBest
-	for b := 0; b < c.banksPer; b++ {
+	occupied := c.occupied[ch]
+	for m := occupied; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
 		bankBest[b] = nil
 		q := &c.queues[base+b]
 		if len(q.reads) == 0 && (!useWrites || len(q.writes) == 0) {
+			c.bankMin[b] = dram.Horizon
 			continue
 		}
 		epoch := channel.BankEpoch(b)
@@ -831,6 +854,7 @@ func (c *Controller) arbitrateChannel(ch int, now int64, draining, useWrites boo
 					// no-issue edge does not degrade to dense polling.
 					m.minReady = c.bankMinReady(q, channel, epoch, useWrites)
 				}
+				c.bankMin[b] = m.minReady
 				if m.minReady < minReady {
 					minReady = m.minReady
 				}
@@ -839,6 +863,7 @@ func (c *Controller) arbitrateChannel(ch int, now int64, draining, useWrites boo
 			// Memo miss: run the full tournament below, then store.
 			c.counters.WinnerMemoMisses++
 			bankMin := c.scanBank(ch, b, q, channel, epoch, now, draining, useWrites, chal, slot)
+			c.bankMin[b] = bankMin
 			if bankMin < minReady {
 				minReady = bankMin
 			}
@@ -850,6 +875,7 @@ func (c *Controller) arbitrateChannel(ch int, now int64, draining, useWrites boo
 			continue
 		}
 		bankMin := c.scanBank(ch, b, q, channel, epoch, now, draining, useWrites, chal, slot)
+		c.bankMin[b] = bankMin
 		if bankMin < minReady {
 			minReady = bankMin
 		}
@@ -858,7 +884,8 @@ func (c *Controller) arbitrateChannel(ch int, now int64, draining, useWrites boo
 
 	// Level 2: across-bank selection among ready winners.
 	var best *Candidate
-	for _, cand := range bankBest {
+	for m := occupied; m != 0; m &= m - 1 {
+		cand := bankBest[bits.TrailingZeros64(m)]
 		if cand == nil || !cand.Ready {
 			continue
 		}
@@ -875,18 +902,31 @@ func (c *Controller) arbitrateChannel(ch int, now int64, draining, useWrites boo
 	return best, 0
 }
 
-// materializeChannel builds the channel's full waiting candidate set
-// for the policy's OnSchedule accounting. Each request's timing memo is
-// revalidated first — on a memo-hit edge only the bank winners were
-// refreshed during arbitration — so the copied-out candidates are
-// exact. It runs only on issue edges (the far more frequent no-issue
-// edges skip it entirely); the returned slice is backed by the
-// controller's scratch.
-func (c *Controller) materializeChannel(ch int, now int64, useWrites bool) []Candidate {
+// delayedSet builds the waiting set Policy.OnSchedule receives for
+// chosen (the contract in policy.go, predicate Delays): every eligible
+// request queued for the chosen bank, chosen included, and — only when
+// chosen is a column access — every eligible request in the channel's
+// other banks whose next command is a ready column access. It runs on
+// the state the arbitration saw, before the command issues. An other
+// bank whose minimum readiness from this edge's arbitration (bankMin: a
+// scanBank result or a memo's lower bound) lies after now holds no
+// ready command and is skipped without touching its requests; the
+// requests walked get their timing memo revalidated first, so the
+// copied-out candidates are exact. The returned slice is backed by the
+// controller's scratch, so chosen must not point into it.
+func (c *Controller) delayedSet(ch int, now int64, useWrites bool, chosen *Candidate) []Candidate {
 	channel := c.channels[ch]
 	base := ch * c.banksPer
-	cands := c.scratch[:0]
-	for b := 0; b < c.banksPer; b++ {
+	out := c.scratch[:0]
+	banks := c.occupied[ch]
+	if !chosen.IsColumn() {
+		banks = 1 << uint(chosen.Cmd.Bank)
+	}
+	for ; banks != 0; banks &= banks - 1 {
+		b := bits.TrailingZeros64(banks)
+		if b != chosen.Cmd.Bank && c.bankMin[b] > now {
+			continue
+		}
 		q := &c.queues[base+b]
 		epoch := channel.BankEpoch(b)
 		for pass := 0; pass < 2; pass++ {
@@ -899,15 +939,19 @@ func (c *Controller) materializeChannel(ch int, now int64, useWrites bool) []Can
 			}
 			for _, r := range list {
 				c.refreshMemo(channel, r, epoch)
-				cands = append(cands, Candidate{
+				cand := Candidate{
 					Req: r, Cmd: r.cacheCmd, Outcome: outcomeFor(r.cacheCmd.Kind), Channel: ch,
 					First: !r.Started, Ready: now >= r.cacheReadyAt,
-				})
+				}
+				if Delays(chosen, &cand) {
+					out = append(out, cand)
+				}
 			}
 		}
 	}
-	c.scratch = cands[:0]
-	return cands
+	c.counters.DelayedCandidates += int64(len(out))
+	c.scratch = out[:0]
+	return out
 }
 
 // scanBank runs one bank's level-1 tournament: it refreshes every
@@ -991,11 +1035,13 @@ func (c *Controller) scheduleChannelBatch(ch int, now int64, draining, useWrites
 	base := ch * c.banksPer
 	minReady := int64(dram.Horizon)
 	cands := c.scratch[:0]
-	for b := 0; b < c.banksPer; b++ {
+	bankBest := c.bankBest
+	occupied := c.occupied[ch]
+	for m := occupied; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		bankBest[b] = nil
+		bankMin := int64(dram.Horizon)
 		q := &c.queues[base+b]
-		if len(q.reads) == 0 && (!useWrites || len(q.writes) == 0) {
-			continue
-		}
 		epoch := channel.BankEpoch(b)
 		for pass := 0; pass < 2; pass++ {
 			list := q.reads
@@ -1007,15 +1053,15 @@ func (c *Controller) scheduleChannelBatch(ch int, now int64, draining, useWrites
 			}
 			for _, r := range list {
 				c.refreshMemo(channel, r, epoch)
-				if r.cacheReadyAt < minReady {
-					minReady = r.cacheReadyAt
-				}
+				bankMin = min(bankMin, r.cacheReadyAt)
 				cands = append(cands, Candidate{
 					Req: r, Cmd: r.cacheCmd, Outcome: outcomeFor(r.cacheCmd.Kind), Channel: ch,
 					First: !r.Started, Ready: now >= r.cacheReadyAt,
 				})
 			}
 		}
+		c.bankMin[b] = bankMin
+		minReady = min(minReady, bankMin)
 	}
 	c.scratch = cands[:0]
 	if len(cands) == 0 {
@@ -1025,10 +1071,6 @@ func (c *Controller) scheduleChannelBatch(ch int, now int64, draining, useWrites
 
 	// Level 1: per-bank winner over the materialized set, honoring the
 	// reservation lock exactly like the fast path.
-	bankBest := c.bankBest
-	for b := range bankBest {
-		bankBest[b] = nil
-	}
 	var lockedBanks uint64
 	for i := range cands {
 		cand := &cands[i]
@@ -1048,7 +1090,8 @@ func (c *Controller) scheduleChannelBatch(ch int, now int64, draining, useWrites
 
 	// Level 2: across-bank selection among ready winners.
 	var best *Candidate
-	for _, cand := range bankBest {
+	for m := occupied; m != 0; m &= m - 1 {
+		cand := bankBest[bits.TrailingZeros64(m)]
 		if cand == nil || !cand.Ready {
 			continue
 		}
@@ -1063,9 +1106,12 @@ func (c *Controller) scheduleChannelBatch(ch int, now int64, draining, useWrites
 		return false, c.edgeCeil(max(now, minReady))
 	}
 	if c.trace != nil {
-		c.traceInversion(now, ch, best, bankBest)
+		c.traceInversion(now, ch, best)
 	}
-	c.issue(ch, now, best, cands)
+	// The delayed set reuses the scratch the waiting set lives in, so
+	// the winner moves out of it first.
+	c.challenger = *best
+	c.issue(ch, now, &c.challenger, c.delayedSet(ch, now, useWrites, &c.challenger))
 	return true, 0
 }
 
@@ -1084,9 +1130,12 @@ func (c *Controller) better(a, b *Candidate, draining bool) bool {
 	return c.policy.Less(a, b)
 }
 
-func (c *Controller) issue(ch int, now int64, chosen *Candidate, cands []Candidate) {
+func (c *Controller) issue(ch int, now int64, chosen *Candidate, delayed []Candidate) {
 	channel := c.channels[ch]
 	r := chosen.Req
+	if c.CommandTrace != nil {
+		c.CommandTrace(now, ch, chosen.Cmd, r)
+	}
 	if !r.Started {
 		r.Started = true
 		r.FirstScheduledOutcome = chosen.Outcome
@@ -1131,13 +1180,10 @@ func (c *Controller) issue(ch int, now int64, chosen *Candidate, cands []Candida
 		c.removeQueued(r)
 		c.inFlight = append(c.inFlight, r)
 	}
-	if c.CommandTrace != nil {
-		c.CommandTrace(now, ch, chosen.Cmd, r)
-	}
 	if c.trace != nil {
 		c.traceIssue(now, ch, chosen)
 	}
-	c.policy.OnSchedule(now, chosen, cands)
+	c.policy.OnSchedule(now, chosen, delayed)
 }
 
 // traceLifecycle records an enqueue/complete event for a request.
@@ -1175,9 +1221,10 @@ func (c *Controller) traceIssue(now int64, ch int, chosen *Candidate) {
 // under STFM, inversions are exactly the fairness-rule interventions of
 // the paper's Section 3.2.1, and under NFQ/TCM they mark virtual-time /
 // cluster prioritization.
-func (c *Controller) traceInversion(now int64, ch int, chosen *Candidate, bankBest []*Candidate) {
+func (c *Controller) traceInversion(now int64, ch int, chosen *Candidate) {
 	r := chosen.Req
-	for _, o := range bankBest {
+	for m := c.occupied[ch]; m != 0; m &= m - 1 {
+		o := c.bankBest[bits.TrailingZeros64(m)]
 		if o == nil || o.Req == r || !o.Ready || o.Req.IsWrite != r.IsWrite {
 			continue
 		}
@@ -1221,11 +1268,7 @@ func (c *Controller) removeQueued(r *Request) {
 		q.writes = list
 		c.chWrites[r.Loc.Channel]--
 		c.queuedWrites--
-		// See EnqueueWrite: occupancy changes touch every channel's
-		// drain hysteresis.
-		for i := range c.chHorizon {
-			c.chHorizon[i] = 0
-		}
+		c.writesChanged(r.Loc.Channel)
 	} else {
 		q.reads = list
 		c.chReads[r.Loc.Channel]--
@@ -1234,6 +1277,26 @@ func (c *Controller) removeQueued(r *Request) {
 		c.queuedBank[r.Thread][idx]--
 		if c.queuedBank[r.Thread][idx] == 0 {
 			c.queuedBanks[r.Thread]--
+		}
+	}
+	if len(q.reads) == 0 && len(q.writes) == 0 {
+		c.occupied[r.Loc.Channel] &^= 1 << uint(r.Loc.Bank)
+	}
+}
+
+// writesChanged invalidates cached no-issue horizons after the global
+// write-buffer occupancy moved by one on channel ch. The channel's own
+// horizon always goes (its queues changed). Another channel's horizon
+// depends on the occupancy only through its drain hysteresis, so it is
+// reset only when the new occupancy flips that channel's drain state:
+// reaching WriteDrainHigh while it is not draining, or falling to
+// WriteDrainLow while it is. Occupancy moves one step at a time and is
+// checked at every step, so no flip goes unseen.
+func (c *Controller) writesChanged(ch int) {
+	c.chHorizon[ch] = 0
+	for i, d := range c.draining {
+		if c.drainState(i) != d {
+			c.chHorizon[i] = 0
 		}
 	}
 }

@@ -4,11 +4,12 @@ import "stfm/internal/dram"
 
 // Candidate is a request presented to the policy with the next DRAM
 // command it needs given the current row-buffer state of its bank.
-// Candidates are built for every waiting request; DRAM timing
-// readiness is enforced by the controller when the selected command is
-// issued, not during prioritization (the paper's per-bank schedulers
-// arbitrate requests, then issue the winner's commands as they become
-// ready).
+// Arbitration builds one for each request it compares, OnSchedule
+// receives the delayed set (see Policy), and a BatchPolicy sees one for
+// every waiting request. DRAM timing readiness is enforced by the
+// controller when the selected command is issued, not during
+// prioritization (the paper's per-bank schedulers arbitrate requests,
+// then issue the winner's commands as they become ready).
 type Candidate struct {
 	// Req is the queued request this candidate would service.
 	Req *Request
@@ -42,7 +43,7 @@ func (c *Candidate) IsColumn() bool { return c.Cmd.Kind.IsColumn() }
 // DRAM cycle. Implementations are the five schedulers the paper
 // evaluates. The controller calls BeginCycle once per DRAM cycle, then
 // for each channel selects the maximum candidate under Less and calls
-// OnSchedule with the winner and the full ready set.
+// OnSchedule with the winner and the requests its command delays.
 type Policy interface {
 	// Name returns the scheduler's short name (e.g. "FR-FCFS").
 	Name() string
@@ -55,11 +56,27 @@ type Policy interface {
 	// same channel.
 	Less(a, b *Candidate) bool
 	// OnSchedule is invoked when the controller issues chosen's
-	// command. waiting is the full candidate set for the channel this
-	// cycle (chosen included) — policies that account for inter-thread
-	// interference (STFM) or virtual time (NFQ) use it to see which
-	// threads had waiting requests that were delayed.
+	// command. waiting is the delayed set: the channel's eligible
+	// candidates c with Delays(chosen, c), as of the state the
+	// arbitration saw before the command issued, in no particular
+	// order. That is every candidate queued for chosen's bank (chosen
+	// included) and, only when chosen is a column access, every ready
+	// column access in the channel's other banks. Policies read no more
+	// than that: STFM charges bank interference to the chosen bank's
+	// candidates and bus interference to the other banks' ready column
+	// accesses (§3.2.2); NFQ and FR-FCFS+Cap look only at the chosen
+	// bank; FR-FCFS, FCFS, TCM and PAR-BS ignore waiting. A policy that
+	// needs the whole waiting set implements BatchPolicy.
 	OnSchedule(now int64, chosen *Candidate, waiting []Candidate)
+}
+
+// Delays reports whether issuing chosen's command delays candidate c of
+// the same channel, i.e. whether c belongs in OnSchedule's waiting set:
+// c is queued for chosen's bank, or chosen occupies the data bus (a
+// column access) while c's next command is a ready column access.
+func Delays(chosen, c *Candidate) bool {
+	return c.Cmd.Bank == chosen.Cmd.Bank ||
+		chosen.IsColumn() && c.Ready && c.IsColumn()
 }
 
 // BatchPolicy is an optional extension interface: policies that need

@@ -196,8 +196,9 @@ func (c *Controller) SaveState() ControllerState {
 // configuration. resolve supplies the completion owner and tag for
 // each restored read request (writes never carry one); it may return a
 // nil owner. Every incremental accounting structure (queue counts,
-// per-thread bank-parallelism registers, write-drain occupancy) is
-// rebuilt during re-insertion; scheduling memos start invalid.
+// occupied-bank masks, per-thread bank-parallelism registers,
+// write-drain occupancy) is rebuilt during re-insertion; scheduling
+// memos start invalid.
 func (c *Controller) RestoreState(st ControllerState, resolve func(r RequestState) (Completer, int64, error)) error {
 	if len(st.Draining) != len(c.draining) {
 		return fmt.Errorf("memctrl: snapshot has %d drain flags, controller has %d channels", len(st.Draining), len(c.draining))
@@ -288,6 +289,7 @@ func (c *Controller) RestoreState(st ControllerState, resolve func(r RequestStat
 				c.queuedBank[r.Thread][idx]++
 			}
 			q.ver++
+			c.occupied[r.Loc.Channel] |= 1 << uint(r.Loc.Bank)
 		}
 		// A started read occupies its bank until completion (the paper's
 		// BankAccessParallelism): issue() incremented at first command,

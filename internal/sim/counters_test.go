@@ -29,7 +29,7 @@ import (
 //     move down.
 func TestWorkCounters(t *testing.T) {
 	type bounds struct {
-		steps, coreTicks, edges, scans, winnerMisses int64
+		steps, coreTicks, edges, channelScans, scans, winnerMisses, delayed int64
 	}
 	stfm16 := DefaultConfig(PolicySTFM, 16)
 	stfm16.InstrTarget = 10_000
@@ -47,10 +47,12 @@ func TestWorkCounters(t *testing.T) {
 		max  bounds
 	}{
 		{"stfm-16c", stfm16, workloads.SixteenCoreMixes()[1], bounds{
-			steps: 126_866, coreTicks: 106_065, edges: 61_532, scans: 110_601, winnerMisses: 110_601,
+			steps: 126_866, coreTicks: 106_065, edges: 61_532, channelScans: 139_369,
+			scans: 110_162, winnerMisses: 110_162, delayed: 254_131,
 		}},
 		{"caches-4c", caches4, workloads.SampleFourCore()[8], bounds{
-			steps: 34_562, coreTicks: 14_062, edges: 25_114, scans: 14_105, winnerMisses: 14_105,
+			steps: 34_562, coreTicks: 14_062, edges: 25_114, channelScans: 23_170,
+			scans: 14_105, winnerMisses: 14_105, delayed: 21_547,
 		}},
 	}
 	for _, tc := range cases {
@@ -119,8 +121,10 @@ func TestWorkCounters(t *testing.T) {
 				{"Steps", c.Steps, tc.max.steps},
 				{"CoreTicks", c.CoreTicks, tc.max.coreTicks},
 				{"ControllerEdges", c.ControllerEdges, tc.max.edges},
+				{"ChannelScans", c.ChannelScans, tc.max.channelScans},
 				{"ArbitrationScans", c.ArbitrationScans, tc.max.scans},
 				{"WinnerMemoMisses", c.WinnerMemoMisses, tc.max.winnerMisses},
+				{"DelayedCandidates", c.DelayedCandidates, tc.max.delayed},
 			} {
 				if b.got > b.max {
 					t.Errorf("%s = %d, above its bound %d: the engine does more work than before", b.name, b.got, b.max)

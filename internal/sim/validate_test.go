@@ -22,6 +22,9 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 		// Channels 0 in an explicit geometry is legal: NewSystem
 		// overrides it with the workload-scaled count.
 		{Geometry: func() *dram.Geometry { g := dram.DefaultGeometry(0); return &g }()},
+		// 64 banks per channel is the most the controller's bank masks
+		// hold.
+		{Geometry: func() *dram.Geometry { g := dram.DefaultGeometry(1); g.BanksPerChannel = 64; return &g }()},
 	}
 	for i, cfg := range cases {
 		if err := cfg.Validate(); err != nil {
@@ -56,6 +59,11 @@ func TestValidateRejections(t *testing.T) {
 		{"broken geometry", mut(func(c *Config) {
 			g := dram.DefaultGeometry(1)
 			g.BanksPerChannel = -8
+			c.Geometry = &g
+		}), "Geometry"},
+		{"128 banks per channel", mut(func(c *Config) {
+			g := dram.DefaultGeometry(1)
+			g.BanksPerChannel = 128
 			c.Geometry = &g
 		}), "Geometry"},
 		{"broken timing", mut(func(c *Config) {
